@@ -452,15 +452,19 @@ func BenchmarkSchedLint(b *testing.B) {
 
 // --- Campaign engine -------------------------------------------------
 
+// benchWorkers are the campaign pool sizes every campaign benchmark runs
+// at. They are fixed, not derived from GOMAXPROCS, so sub-benchmark
+// names are the same on every host and a baseline recorded on one
+// machine compares name for name on another.
+var benchWorkers = []int{1, 2}
+
 // BenchmarkCampaignTableI measures the full Table I regeneration through
 // the campaign engine at two worker-pool sizes. The workers=1 case is the
-// sequential baseline; the workers=GOMAXPROCS case shards the three
-// scheme columns across the pool. On a multi-core host the parallel case
-// approaches a 3x speedup (one worker per scheme); results are
-// byte-identical at every pool size (see
-// TestCampaignTableIMatchesSequentialGolden).
+// sequential baseline; the workers=2 case shards the three scheme
+// columns across the pool. Results are byte-identical at every pool
+// size (see TestCampaignTableIMatchesSequentialGolden).
 func BenchmarkCampaignTableI(b *testing.B) {
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range benchWorkers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var before, after runtime.MemStats
@@ -488,7 +492,7 @@ func BenchmarkCampaignTableI(b *testing.B) {
 // BenchmarkCampaignMatrix measures the 9-cell requirements matrix, the
 // widest fan-out in the repo (9 independent simulations).
 func BenchmarkCampaignMatrix(b *testing.B) {
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range benchWorkers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -601,7 +605,7 @@ func BenchmarkMonitorOnlineVsPostHoc(b *testing.B) {
 // on the pooled kernel, and the unfaulted baseline plan must ride the
 // same zero-alloc scratch-reuse path as the plain campaign.
 func BenchmarkCampaignFaulted(b *testing.B) {
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range benchWorkers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var before, after runtime.MemStats
@@ -654,7 +658,7 @@ func tcgenTarget(b testing.TB) rmtest.GenTarget {
 // candidate evaluation, like the other campaign benchmarks.
 func BenchmarkTCGenCampaign(b *testing.B) {
 	target := tcgenTarget(b)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range benchWorkers {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cache := rmtest.NewEvalCache(0)
 			opt := rmtest.GenOptions{Seed: 42, Workers: workers, Cache: cache}

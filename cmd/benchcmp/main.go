@@ -6,7 +6,9 @@
 //	go run ./cmd/benchcmp BENCH_old.json BENCH_new.json
 //
 // Record mode parses `go test -bench` text output from stdin into a
-// stable JSON trajectory file. Compare mode prints per-benchmark deltas
+// stable JSON trajectory file. Repeated samples of one benchmark (from
+// `go test -count N`) are recorded as one entry holding the median of
+// every unit and the sample count. Compare mode prints per-benchmark deltas
 // (benchstat-style, without the statistics) and exits non-zero when a
 // regression exceeds the thresholds. A benchmark present in the
 // baseline but missing from the current run is warned about on stderr
@@ -40,6 +42,8 @@ type Result struct {
 	BPerOp   float64            `json:"b_per_op,omitempty"`
 	AllocsOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics  map[string]float64 `json:"metrics,omitempty"`
+	// Samples is how many `-count` repetitions the medians are over.
+	Samples int `json:"samples,omitempty"`
 }
 
 // File is the trajectory file layout.
@@ -98,12 +102,57 @@ func record(path, note string) error {
 	if len(results) == 0 {
 		return fmt.Errorf("benchcmp: no benchmark lines on stdin")
 	}
+	results = medians(results)
 	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
 	data, err := json.MarshalIndent(File{Note: note, Benchmarks: results}, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// medians folds repeated samples of each benchmark into one result per
+// name, taking the median of every unit.
+func medians(results []Result) []Result {
+	byName := map[string][]Result{}
+	var names []string
+	for _, r := range results {
+		if _, ok := byName[r.Name]; !ok {
+			names = append(names, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(names))
+	for _, name := range names {
+		rs := byName[name]
+		med := func(get func(Result) float64) float64 {
+			vs := make([]float64, len(rs))
+			for i, r := range rs {
+				vs[i] = get(r)
+			}
+			sort.Float64s(vs)
+			if len(vs)%2 == 1 {
+				return vs[len(vs)/2]
+			}
+			return (vs[len(vs)/2-1] + vs[len(vs)/2]) / 2
+		}
+		m := Result{
+			Name:     name,
+			N:        int64(med(func(r Result) float64 { return float64(r.N) })),
+			NsPerOp:  med(func(r Result) float64 { return r.NsPerOp }),
+			BPerOp:   med(func(r Result) float64 { return r.BPerOp }),
+			AllocsOp: med(func(r Result) float64 { return r.AllocsOp }),
+			Samples:  len(rs),
+		}
+		for unit := range rs[0].Metrics {
+			if m.Metrics == nil {
+				m.Metrics = map[string]float64{}
+			}
+			m.Metrics[unit] = med(func(r Result) float64 { return r.Metrics[unit] })
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
 func load(path string) (map[string]Result, error) {

@@ -3,12 +3,14 @@ package rmtest_test
 // End-to-end checks of the fault-injection subsystem: the
 // fault-attribution sweep against its golden CSV at several worker
 // counts (online and post-hoc), the five-class attribution acceptance,
-// panic containment and accounting in faulted campaigns, the
+// panic containment and accounting in faulted campaigns, containment of
+// a panicking task body, the
 // deadline-boundary equivalence of the online monitor under an injected
 // latency, scratch hygiene after an aborted faulted run, and the static
 // blocking dominance under an ISR storm.
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -24,6 +26,7 @@ import (
 	"rmtest/internal/gpca"
 	"rmtest/internal/monitor"
 	"rmtest/internal/platform"
+	"rmtest/internal/rtos"
 	"rmtest/internal/sim"
 )
 
@@ -167,6 +170,75 @@ func TestFaultedCampaignPanicAccounting(t *testing.T) {
 	}
 	// All task goroutines must wind down, including the half-built
 	// system the panic unwound through.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, now)
+	}
+}
+
+// TestTaskPanicContainedInCampaign: a task body that panics mid-run — a
+// VM fault inside CODE(M), say — fails exactly its own campaign run, with
+// the panic value in that run's error. The other runs are byte-identical
+// to the same campaign without the faulty run, and no task goroutines
+// leak.
+func TestTaskPanicContainedInCampaign(t *testing.T) {
+	before := runtime.NumGoroutine()
+	req := gpca.REQ1()
+	pb, err := gpca.Precompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, faulty = 5, 2
+	campaignWith := func(bomb int) []campaign.Outcome[core.MResult] {
+		return campaign.MapScratch(campaign.Config{Workers: 2, Seed: 42}, n,
+			func() *platform.Scratch { return &platform.Scratch{} },
+			func(run campaign.Run, sc *platform.Scratch) (core.MResult, error) {
+				tc, err := core.Generator{
+					N: 2, Start: 50 * time.Millisecond,
+					Spacing: 4500 * time.Millisecond, Strategy: core.JitteredSpacing,
+					Jitter: 200 * time.Millisecond, Seed: run.Seed,
+				}.Generate(req)
+				if err != nil {
+					return core.MResult{}, err
+				}
+				factory := gpca.FactoryPrebuilt(pb, func() platform.Scheme { return platform.DefaultScheme2() }, sc)
+				runner, err := core.NewRunner(factory, req)
+				if err != nil {
+					return core.MResult{}, err
+				}
+				if run.Index == bomb {
+					runner.Prepare = func(sys *platform.System, _ core.TestCase) {
+						sys.Sched.Spawn("faulty", 9, 2*time.Second, func(tk *rtos.Task) {
+							tk.Compute(time.Millisecond)
+							panic("task body fault")
+						})
+					}
+				}
+				return runner.RunM(tc)
+			})
+	}
+	clean := campaignWith(-1)
+	outs := campaignWith(faulty)
+	render := func(o campaign.Outcome[core.MResult]) string {
+		return fmt.Sprintf("%s %+v", o.Value.Scheme, o.Value.Samples)
+	}
+	for i, o := range outs {
+		if i == faulty {
+			if o.Err == nil || !strings.Contains(o.Err.Error(), "task body fault") {
+				t.Errorf("run %d: error %v, want the contained task panic", i, o.Err)
+			}
+			continue
+		}
+		if o.Err != nil || clean[i].Err != nil {
+			t.Fatalf("run %d failed: %v / %v", i, o.Err, clean[i].Err)
+		}
+		if got, want := render(o), render(clean[i]); got != want {
+			t.Errorf("run %d differs from the clean campaign:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -161,8 +161,8 @@ func removeTask(waiters []*Task, t *Task) []*Task {
 	return waiters
 }
 
-// send implements the task-context send path; called by the scheduler with
-// t == s.current.
+// send implements the task-context send path; called on t's coroutine
+// with t == s.current.
 func (q *Queue) send(t *Task, v any, timeout sim.Time, hasTimeout bool) {
 	if q.faultDrop(q.sched.k.Now()) {
 		q.faultDropped++

@@ -8,23 +8,21 @@ import (
 
 // This file implements the RTOS half of the snapshot/restore machinery
 // behind the prefix-sharing candidate evaluator: capturing the complete
-// task/scheduler/queue state of a quiescent instant and rewinding a
-// live scheduler — goroutines included — back to it.
+// task/scheduler/queue state of a quiescent instant and rewinding a live
+// scheduler back to it.
 //
-// The design is in-place rewind: task goroutines are never respawned.
-// A goroutine parked at a release boundary (every task between releases
-// is) needs no stack surgery at all — its continuation is "begin the
-// next release", and which release that is lives entirely in struct
-// fields (nextRelease, releases) that a restore rewrites. A goroutine
-// that a later run left parked mid-body (a restore can land while a
-// compute burst is in flight) is unwound by an abort delivery: its
-// park-point select panics with a rewound sentinel, the periodic
-// wrapper recovers it at the loop head, and the goroutine re-parks at
-// the release boundary before the restore rewrites its state.
+// A task's coroutine suspended at a release boundary (every task between
+// releases is) needs no stack capture at all: its continuation is "begin
+// the next release", and which release that is lives entirely in struct
+// fields (nextRelease, releases) that a restore rewrites. A coroutine
+// that a later run left suspended mid-body (a restore can land while a
+// compute burst is in flight) is dropped — stopped, so its body
+// unwinds — and replaced by a fresh one suspended at the head of the
+// periodic release loop, which is exactly where the snapshot left it.
 //
 // Pending kernel events (task wakes, start events, compute completions)
 // are deliberately NOT captured here: the sim.Kernel captures and
-// replays every pending event generically, and the wake/start closures
+// replays every pending event generically, and the wake/start callbacks
 // act on whatever task state they find — which, after a restore, is the
 // snapshot's state. Quiescence guarantees no compute/switch/slice event
 // is pending, so the only scheduler-owned events crossing a snapshot
@@ -89,9 +87,15 @@ type SchedSnap struct {
 // Quiescent reports whether the scheduler is at a snapshot-eligible
 // instant: the CPU idle with no switch, compute burst or slice in
 // flight, no scheduling pass pending, the ready list empty, and every
-// task either done or parked at a release boundary (so its goroutine
+// task either done or parked at a release boundary (so its coroutine
 // holds no live stack state). Mutex and semaphore state is not
 // captured, so any held mutex also disqualifies.
+//
+// sim.Kernel.RunBeforeHook also reports instant boundaries from inside a
+// task's coroutine, when the task takes its compute completion inline
+// (resumeInline). Those fail several checks here at once: the task is
+// current and mid-release, its burst's completion is still pending, and
+// the scheduling pass that dispatched it is on the stack (inLoop).
 func (s *Scheduler) Quiescent() bool {
 	if s.current != nil || s.switching || s.kickPending || s.inLoop {
 		return false
@@ -106,9 +110,9 @@ func (s *Scheduler) Quiescent() bool {
 		if t.state == TaskDone {
 			continue
 		}
-		// Only periodic wrappers recover a rewind abort, and only their
-		// release state is stack-free; a live plain task disqualifies
-		// the whole scheduler.
+		// Only a periodic task's release state is stack-free, so only a
+		// periodic coroutine can be restarted at its loop head; a live
+		// plain task disqualifies the whole scheduler.
 		if t.period == 0 {
 			return false
 		}
@@ -181,34 +185,21 @@ func (s *Scheduler) Snapshot() (*SchedSnap, bool) {
 	return snap, true
 }
 
-// RewindTasks unwinds every live task goroutine that is not parked at a
-// release boundary back to one: an abort is delivered to its park-point
-// select, the periodic wrapper recovers the unwind at its loop head and
-// the goroutine re-parks. It must be called before the kernel is
-// rewound (so no event fires mid-unwind) and before Restore rewrites
-// task state. Unwinding a non-periodic task panics — only periodic
-// wrappers recover the abort.
-func (s *Scheduler) RewindTasks() {
-	for _, t := range s.tasks {
-		if t.state == TaskDone || t.parkedAtRelease {
-			continue
-		}
-		t.abort <- struct{}{}
-		<-t.rewoundAck
-	}
-}
-
 // Restore rewrites the scheduler's complete state from a snapshot taken
-// on the same scheduler. Every task goroutine must already be parked at
-// a release boundary (RewindTasks) and the kernel rewound; pending
-// events (task wakes, start events) are replayed by the kernel capture,
-// not here. Task count must match the snapshot — tasks are never
-// removed, and a restore never crosses a Spawn.
+// on the same scheduler, after the kernel has been rewound. Coroutines
+// suspended mid-body are dropped and restarted at their release loop
+// head; pending events (task wakes, start events) are replayed by the
+// kernel capture, not here. Task count must match the snapshot — tasks
+// are never removed, and a restore never crosses a Spawn.
 func (s *Scheduler) Restore(snap *SchedSnap) {
 	if len(snap.tasks) != len(s.tasks) {
 		panic(fmt.Sprintf("rtos: Restore with %d task snapshots over %d tasks", len(snap.tasks), len(s.tasks)))
 	}
 	for i, t := range s.tasks {
+		if t.state != TaskDone && !t.parkedAtRelease {
+			t.stop()
+			t.begin()
+		}
 		ts := snap.tasks[i]
 		t.state = ts.state
 		t.prio = ts.prio

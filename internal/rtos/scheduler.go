@@ -6,14 +6,17 @@
 // inheritance, interrupt service routines that steal CPU time, and a
 // context-switch cost.
 //
-// Tasks are written as ordinary Go functions. Under the hood each task is
-// a goroutine, but exactly one goroutine is ever runnable: the scheduler
-// hands control to a task and blocks until the task issues its next kernel
-// request. Code between requests executes in zero virtual time; all
-// passage of time is explicit via (*Task).Compute, Sleep and blocking
-// operations. This makes every schedule — including preemptions, queueing
-// delays and starvation — exactly reproducible, which is what lets the
-// testing layers above measure delay segments without perturbation.
+// Tasks are written as ordinary Go functions. Each task body runs as a
+// coroutine (iter.Pull) on the goroutine driving the kernel, so exactly
+// one piece of simulation logic executes at any moment: the scheduler
+// resumes a task, the task handles its own kernel requests, and it
+// suspends back to the scheduler when a request needs other simulation
+// activity to complete. Code between requests executes in zero virtual
+// time; all passage of time is explicit via (*Task).Compute, Sleep and
+// blocking operations. This makes every schedule — including
+// preemptions, queueing delays and starvation — exactly reproducible,
+// which is what lets the testing layers above measure delay segments
+// without perturbation.
 package rtos
 
 import (
@@ -58,13 +61,18 @@ type Scheduler struct {
 
 	inLoop      bool
 	kickPending bool
-	trace       *Trace
-	idleFrom    sim.Time
-	idleTime    sim.Time
-	switches    uint64
-	preempts    uint64
-	queues      map[string]*Queue
-	stormISRs   uint64
+
+	trace     *Trace
+	idleFrom  sim.Time
+	idleTime  sim.Time
+	switches  uint64
+	preempts  uint64
+	queues    map[string]*Queue
+	stormISRs uint64
+
+	// Kernel callbacks, bound once in New so arming them allocates
+	// nothing.
+	kickFn, switchDoneFn, sliceEndFn func()
 }
 
 // New returns a scheduler bound to kernel k.
@@ -73,7 +81,9 @@ func New(k *sim.Kernel, cfg Config) *Scheduler {
 	if cap <= 0 {
 		cap = 4096
 	}
-	return &Scheduler{k: k, cfg: cfg, trace: newTrace(cap), queues: make(map[string]*Queue)}
+	s := &Scheduler{k: k, cfg: cfg, trace: newTrace(cap), queues: make(map[string]*Queue)}
+	s.kickFn, s.switchDoneFn, s.sliceEndFn = s.runKick, s.finishSwitch, s.endSlice
+	return s
 }
 
 // Kernel returns the underlying simulation kernel.
@@ -153,32 +163,23 @@ func (s *Scheduler) Spawn(name string, prio int, start sim.Time, body func(*Task
 	if body == nil {
 		panic("rtos: Spawn with nil body")
 	}
-	t := &Task{
-		sched:      s,
-		name:       name,
-		prio:       prio,
-		base:       prio,
-		state:      TaskNew,
-		resume:     make(chan struct{}),
-		req:        make(chan request),
-		kill:       make(chan struct{}),
-		abort:      make(chan struct{}),
-		rewoundAck: make(chan struct{}),
-		// The initial park in run() doubles as a release boundary: the
-		// first dispatch begins the first release.
-		parkedAtRelease: true,
-		startAt:         start,
-	}
+	t := &Task{sched: s, name: name, prio: prio, base: prio, state: TaskNew, body: body}
+	t.onStart, t.onWake, t.onComputeDone = t.start, t.wakeFromSleep, t.finishCompute
+	// A coroutine that has not started yet is parked at a release
+	// boundary: the first dispatch begins the first release.
+	t.begin()
 	s.tasks = append(s.tasks, t)
-	go t.run(body)
-	s.k.At(start, func() {
-		if t.state != TaskNew {
-			return
-		}
-		s.makeReady(t, false)
-		s.kick()
-	})
+	s.k.At(start, t.onStart)
 	return t
+}
+
+// start is the task's start event.
+func (t *Task) start() {
+	if t.state != TaskNew {
+		return
+	}
+	t.sched.makeReady(t, false)
+	t.sched.kick()
 }
 
 // SpawnPeriodic creates a task whose body runs once per period, first at
@@ -193,13 +194,7 @@ func (s *Scheduler) SpawnPeriodic(name string, prio int, offset, period sim.Time
 	tk := s.Spawn(name, prio, offset, func(t *Task) {
 		for {
 			t.releases++
-			if t.runPeriodicBody(body) {
-				// A restore rewound this release: task state, release
-				// counters and the wake event have been rewritten by the
-				// coordinator; re-park and resume at the restored release.
-				t.rewindPark()
-				continue
-			}
+			body(t)
 			t.nextRelease += period
 			for t.nextRelease <= t.Now() {
 				t.nextRelease += period
@@ -211,21 +206,20 @@ func (s *Scheduler) SpawnPeriodic(name string, prio int, offset, period sim.Time
 		}
 	})
 	tk.period = period
-	// The release instant lives on the struct (not the goroutine stack)
+	// The release instant lives on the struct (not the coroutine stack)
 	// so snapshots can capture it and restores rewrite it.
 	tk.nextRelease = offset
 	return tk
 }
 
-// Shutdown force-terminates every live task goroutine. Call it when a
-// simulation run is finished so repeated runs (tests, benchmarks) do not
-// leak goroutines. The scheduler must not be used afterwards.
+// Shutdown stops every task coroutine, unwinding bodies suspended in a
+// kernel request. Call it when a simulation run is finished so repeated
+// runs (tests, benchmarks) do not leak the coroutines' goroutines. The
+// scheduler must not be used afterwards.
 func (s *Scheduler) Shutdown() {
 	for _, t := range s.tasks {
-		if t.state != TaskDone {
-			close(t.kill)
-			t.state = TaskDone
-		}
+		t.stop()
+		t.state = TaskDone
 	}
 	s.current = nil
 }
@@ -307,14 +301,16 @@ func (s *Scheduler) kick() {
 		return
 	}
 	s.kickPending = true
-	s.k.After(0, func() {
-		s.kickPending = false
-		s.schedLoop()
-	})
+	s.k.After(0, s.kickFn)
+}
+
+func (s *Scheduler) runKick() {
+	s.kickPending = false
+	s.schedLoop()
 }
 
 // schedLoop is the heart of the scheduler. Every kernel event that can
-// change task state ends by calling it. It runs task goroutines
+// change task state ends by calling it. It runs task coroutines
 // synchronously (in zero virtual time) until the CPU is committed — to a
 // compute burst, a context switch — or idle.
 func (s *Scheduler) schedLoop() {
@@ -374,9 +370,12 @@ func (s *Scheduler) schedLoop() {
 			s.beginCompute(t)
 			return
 		}
-		// Resume the task goroutine until its next request.
-		req := s.resumeAndWait(t)
-		s.handle(t, req)
+		// Resume the task body until it has issued its next request.
+		if _, ok := t.next(); !ok {
+			t.state = TaskDone
+			s.current = nil
+			s.trace.add(s.k.Now(), TraceExit, t)
+		}
 	}
 }
 
@@ -394,29 +393,27 @@ func (s *Scheduler) beginSwitch(target *Task) {
 	s.switching = true
 	s.switchTarget = target
 	s.trace.add(s.k.Now(), TraceSwitch, target)
-	s.switchDone = s.k.After(s.cfg.ContextSwitch, func() {
-		s.switching = false
-		t := s.switchTarget
-		s.switchTarget = nil
-		// A higher-priority task may have become ready during the switch.
-		if top := s.topReady(); top != nil && top.prio > t.prio {
-			t.state = TaskPreempted
-			s.makeReady(t, true)
-		} else {
-			s.startRunning(t)
-		}
-		s.schedLoop()
-	})
+	s.switchDone = s.k.After(s.cfg.ContextSwitch, s.switchDoneFn)
+}
+
+// finishSwitch is the context-switch completion event.
+func (s *Scheduler) finishSwitch() {
+	s.switching = false
+	t := s.switchTarget
+	s.switchTarget = nil
+	// A higher-priority task may have become ready during the switch.
+	if top := s.topReady(); top != nil && top.prio > t.prio {
+		t.state = TaskPreempted
+		s.makeReady(t, true)
+	} else {
+		s.startRunning(t)
+	}
+	s.schedLoop()
 }
 
 func (s *Scheduler) beginCompute(t *Task) {
 	s.computeStart = s.k.Now()
-	s.computeDone = s.k.After(t.pendingCompute, func() {
-		t.pendingCompute = 0
-		s.computeDone = sim.Event{}
-		s.cancelSlice()
-		s.schedLoop()
-	})
+	s.computeDone = s.k.After(t.pendingCompute, t.onComputeDone)
 	if s.cfg.TimeSlice > 0 && s.equalPrioReady(t) {
 		s.armSlice()
 	}
@@ -429,10 +426,25 @@ func (s *Scheduler) armSlice() {
 	if remaining <= s.cfg.TimeSlice {
 		return
 	}
-	s.sliceEnd = s.k.After(s.cfg.TimeSlice, func() {
-		s.sliceEnd = sim.Event{}
-		s.rotateSlice()
-	})
+	s.sliceEnd = s.k.After(s.cfg.TimeSlice, s.sliceEndFn)
+}
+
+// finishCompute is the task's compute-burst completion event.
+func (t *Task) finishCompute() {
+	t.endBurst()
+	t.sched.schedLoop()
+}
+
+func (t *Task) endBurst() {
+	t.pendingCompute = 0
+	t.sched.computeDone = sim.Event{}
+	t.sched.cancelSlice()
+}
+
+// endSlice is the round-robin slice expiry event.
+func (s *Scheduler) endSlice() {
+	s.sliceEnd = sim.Event{}
+	s.rotateSlice()
 }
 
 func (s *Scheduler) cancelSlice() {
@@ -503,12 +515,6 @@ func (s *Scheduler) preemptAtBoundary() {
 	s.trace.add(s.k.Now(), TracePreempt, t)
 }
 
-// resumeAndWait lets t's goroutine run until it issues its next request.
-func (s *Scheduler) resumeAndWait(t *Task) request {
-	t.resume <- struct{}{}
-	return <-t.reqFromTask()
-}
-
 // blockCurrentOn removes the current task from the CPU in the blocked
 // state. The trace record carries the contended resource and, when a
 // single task holds it (mutexes), the holder's identity.
@@ -534,59 +540,58 @@ func (s *Scheduler) wake(t *Task) {
 	s.makeReady(t, false)
 }
 
-// handle processes one kernel request from task t. On return the loop in
-// schedLoop re-evaluates preemption and CPU occupancy.
-func (s *Scheduler) handle(t *Task, r request) {
-	switch r.kind {
-	case reqCompute:
-		// Apply any WCET-overrun fault at burst issue time. The task
-		// already charged r.dur to its CPU accounting, so only the
-		// fault-induced delta is added here.
-		d := t.overrun(s.k.Now(), r.dur)
-		t.cpuTime += d - r.dur
-		t.pendingCompute = d
-	case reqSleep:
-		if r.until <= s.k.Now() {
-			// Zero or past deadline: behave like a yield.
-			t.state = TaskPreempted
-			s.makeReady(t, false)
-			s.current = nil
-			s.trace.add(s.k.Now(), TraceYield, t)
-			return
-		}
-		t.state = TaskSleeping
-		s.current = nil
-		s.trace.add(s.k.Now(), TraceSleep, t)
-		t.wakeEv = s.k.At(r.until, func() {
-			t.wakeEv = sim.Event{}
-			t.blockOK = true
-			s.makeReady(t, false)
-			s.kick()
-		})
-	case reqYield:
-		t.state = TaskPreempted
-		s.makeReady(t, false)
-		s.current = nil
-		s.trace.add(s.k.Now(), TraceYield, t)
-	case reqExit:
-		t.state = TaskDone
-		s.current = nil
-		s.trace.add(s.k.Now(), TraceExit, t)
-	case reqQueueSend:
-		r.q.send(t, r.val, r.timeout, r.hasTimeout)
-	case reqQueueRecv:
-		r.q.recv(t, r.timeout, r.hasTimeout)
-	case reqSemTake:
-		r.sem.take(t, r.timeout, r.hasTimeout)
-	case reqSemGive:
-		r.sem.give(t)
-	case reqMutexLock:
-		r.mu.lock(t)
-	case reqMutexUnlock:
-		r.mu.unlock(t)
-	default:
-		panic("rtos: unknown request")
+// resumeInline reports whether t, having just issued a kernel request on
+// its coroutine, may run on without returning to schedLoop, because the
+// round trip would change nothing: the loop would dispatch t straight
+// back, or — for a compute burst — the burst's completion is the very
+// next event the kernel would fire, and it is taken inline (Kernel.
+// TakeNext). Either way the state, events and trace are exactly those of
+// the round trip; only the two coroutine switches are saved.
+func (s *Scheduler) resumeInline(t *Task) bool {
+	if s.current != t {
+		return false // blocked, sleeping or yielded
 	}
+	if top := s.topReady(); top != nil && top.prio > t.prio {
+		return false // preempted at this request boundary
+	}
+	if t.pendingCompute == 0 {
+		return true
+	}
+	s.beginCompute(t)
+	if !s.k.TakeNext(s.computeDone) {
+		return false
+	}
+	t.endBurst()
+	return true
+}
+
+// sleepUntil takes the current task t off the CPU until instant at. An
+// instant not in the future degrades to a yield.
+func (s *Scheduler) sleepUntil(t *Task, at sim.Time) {
+	if at <= s.k.Now() {
+		s.yieldCPU(t)
+		return
+	}
+	t.state = TaskSleeping
+	s.current = nil
+	s.trace.add(s.k.Now(), TraceSleep, t)
+	t.wakeEv = s.k.At(at, t.onWake)
+}
+
+// yieldCPU moves the current task t to the back of its ready band.
+func (s *Scheduler) yieldCPU(t *Task) {
+	t.state = TaskPreempted
+	s.makeReady(t, false)
+	s.current = nil
+	s.trace.add(s.k.Now(), TraceYield, t)
+}
+
+// wakeFromSleep is the task's sleep-expiry event.
+func (t *Task) wakeFromSleep() {
+	t.wakeEv = sim.Event{}
+	t.blockOK = true
+	t.sched.makeReady(t, false)
+	t.sched.kick()
 }
 
 // Interrupt models an interrupt service routine: handler runs now (in
@@ -613,38 +618,18 @@ func (s *Scheduler) stealCPU(d sim.Time) {
 		remaining := s.computeDone.At() - s.k.Now()
 		s.computeDone.Cancel()
 		s.computeStart += d
-		t := s.current
-		s.computeDone = s.k.After(d+remaining, func() {
-			t.pendingCompute = 0
-			s.computeDone = sim.Event{}
-			s.cancelSlice()
-			s.schedLoop()
-		})
+		s.computeDone = s.k.After(d+remaining, s.current.onComputeDone)
 		if s.sliceEnd.Pending() {
 			sliceRemaining := s.sliceEnd.At() - s.k.Now()
 			s.sliceEnd.Cancel()
-			s.sliceEnd = s.k.After(d+sliceRemaining, func() {
-				s.sliceEnd = sim.Event{}
-				s.rotateSlice()
-			})
+			s.sliceEnd = s.k.After(d+sliceRemaining, s.sliceEndFn)
 		}
 		return
 	}
 	if s.switching && s.switchDone.Pending() {
 		remaining := s.switchDone.At() - s.k.Now()
 		s.switchDone.Cancel()
-		target := s.switchTarget
-		s.switchDone = s.k.After(d+remaining, func() {
-			s.switching = false
-			s.switchTarget = nil
-			if top := s.topReady(); top != nil && top.prio > target.prio {
-				target.state = TaskPreempted
-				s.makeReady(target, true)
-			} else {
-				s.startRunning(target)
-			}
-			s.schedLoop()
-		})
+		s.switchDone = s.k.After(d+remaining, s.switchDoneFn)
 	}
 }
 

@@ -315,20 +315,6 @@ func TestTraceRingBufferWraps(t *testing.T) {
 	}
 }
 
-func TestShutdownTerminatesBlockedTasks(t *testing.T) {
-	k := sim.New()
-	s := New(k, Config{})
-	q := s.NewQueue("q", 1)
-	s.Spawn("blocked", 1, 0, func(tk *Task) {
-		tk.Recv(q) // never satisfied
-	})
-	s.Spawn("sleeping", 1, 0, func(tk *Task) {
-		tk.Sleep(time.Hour)
-	})
-	k.Run(10 * ms)
-	s.Shutdown() // must not hang; goroutines exit via kill channel
-}
-
 func TestManyTasksDeterministic(t *testing.T) {
 	run := func() []string {
 		k := sim.New()

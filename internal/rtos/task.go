@@ -2,6 +2,7 @@ package rtos
 
 import (
 	"fmt"
+	"iter"
 
 	"rmtest/internal/sim"
 )
@@ -40,41 +41,11 @@ func (st TaskState) String() string {
 	return fmt.Sprintf("TaskState(%d)", int(st))
 }
 
-type reqKind int
-
-const (
-	reqCompute reqKind = iota
-	reqSleep
-	reqYield
-	reqExit
-	reqQueueSend
-	reqQueueRecv
-	reqSemTake
-	reqSemGive
-	reqMutexLock
-	reqMutexUnlock
-)
-
-type request struct {
-	kind       reqKind
-	dur        sim.Time // reqCompute
-	until      sim.Time // reqSleep
-	val        any      // reqQueueSend
-	q          *Queue
-	sem        *Semaphore
-	mu         *Mutex
-	timeout    sim.Time
-	hasTimeout bool
-}
-
-type killed struct{}
-
-// rewound is the panic sentinel of the snapshot/restore machinery: it
-// unwinds a task goroutine that is parked mid-release-body back to its
-// periodic loop head, where runPeriodicBody recovers it and the
-// goroutine re-parks awaiting the restored release. Only periodic tasks
-// can be rewound; the sentinel escaping a plain task is a bug.
-type rewound struct{}
+// stopped is the panic sentinel that unwinds a suspended task body once
+// its coroutine is stopped (Shutdown, or a restore dropping an in-flight
+// release): the body's pending kernel request can never complete, so
+// the request call panics and the coroutine recovers the sentinel.
+type stopped struct{}
 
 // Task is a simulated RTOS task. Its methods may only be called from
 // inside the task's own body function; calling them from outside the
@@ -86,22 +57,26 @@ type Task struct {
 	base  int // assigned priority
 	state TaskState
 
-	resume chan struct{}
-	req    chan request
-	kill   chan struct{}
+	// The body runs as a coroutine: next resumes it until it has issued
+	// its next kernel request (ok=false once the body has returned), stop
+	// unwinds it wherever it is suspended, and yield — valid while the
+	// body runs — suspends it.
+	body  func(*Task)
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
-	// Rewind machinery (snapshot/restore). abort delivers a rewound
-	// panic to a goroutine parked mid-body; rewoundAck signals that the
-	// unwound goroutine has reached its re-park point. parkedAtRelease
-	// reports that the goroutine is parked such that its next dispatch
-	// begins a periodic release (the snapshot-eligibility condition);
-	// nextRelease is the periodic wrapper's release instant, hoisted off
-	// the goroutine stack so a restore can rewrite it.
-	abort           chan struct{}
-	rewoundAck      chan struct{}
+	// parkedAtRelease reports that the coroutine is suspended such that
+	// its next dispatch begins a periodic release (the snapshot-
+	// eligibility condition); nextRelease is the periodic wrapper's
+	// release instant, kept on the struct rather than the coroutine's
+	// stack so a restore can rewrite it.
 	parkedAtRelease bool
 	nextRelease     sim.Time
-	startAt         sim.Time
+
+	// Kernel callbacks, bound once at Spawn so arming them allocates
+	// nothing: the start event, the sleep wakeup and compute completion.
+	onStart, onWake, onComputeDone func()
 
 	pendingCompute sim.Time
 	readyAt        sim.Time
@@ -126,7 +101,7 @@ type Task struct {
 	missedReleases uint64
 
 	// WCET-overrun fault: compute bursts issued inside the window are
-	// scaled by ovNum/ovDen (applied by the scheduler's reqCompute path).
+	// scaled by ovNum/ovDen (applied by Compute).
 	ovFrom sim.Time
 	ovTo   sim.Time
 	ovNum  int64
@@ -193,75 +168,36 @@ func (t *Task) overrun(now, d sim.Time) sim.Time {
 	return sim.Time(int64(d) * t.ovNum / t.ovDen)
 }
 
-func (t *Task) reqFromTask() chan request { return t.req }
-
-// run is the task goroutine entry point.
-func (t *Task) run(body func(*Task)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				return // simulation shut down; exit quietly
-			}
-			panic(r)
-		}
-	}()
-	t.wait()
-	t.parkedAtRelease = false
-	body(t)
-	t.req <- request{kind: reqExit}
-	// Do not wait again: the scheduler never resumes an exited task.
-}
-
-// wait blocks the task goroutine until the scheduler resumes it. An
-// abort delivery (snapshot restore rewinding a goroutine parked
-// mid-body) unwinds to the periodic loop head instead.
-func (t *Task) wait() {
-	select {
-	case <-t.resume:
-	case <-t.abort:
-		panic(rewound{})
-	case <-t.kill:
-		panic(killed{})
-	}
-}
-
-// runPeriodicBody executes one release of a periodic task's body,
-// converting a rewind abort into a normal return. It reports whether
-// the release was aborted by a restore.
-func (t *Task) runPeriodicBody(body func(*Task)) (aborted bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(rewound); ok {
-				aborted = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	body(t)
-	return false
-}
-
-// rewindPark parks an unwound goroutine at the release boundary: it
-// acknowledges the rewind (the restoring coordinator blocks on the ack
-// before rewriting task state) and waits for the scheduler to dispatch
-// the restored release. No kernel request is issued — the restore
-// itself re-arms the task's wake or start event.
-func (t *Task) rewindPark() {
+// begin (re)creates the task's coroutine suspended before the first
+// statement of its body, so the next dispatch runs the body from the top
+// — for a periodic task, the head of its release loop.
+func (t *Task) begin() {
 	t.parkedAtRelease = true
-	t.rewoundAck <- struct{}{}
-	t.wait()
-	t.parkedAtRelease = false
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(stopped); !ok {
+					panic(r)
+				}
+			}
+		}()
+		t.yield = yield
+		t.parkedAtRelease = false
+		t.body(t)
+	})
 }
 
-// syscall issues one kernel request and blocks until it completes.
-func (t *Task) syscall(r request) {
-	select {
-	case t.req <- r:
-	case <-t.kill:
-		panic(killed{})
+// suspend completes a kernel request the body has just applied to the
+// scheduler state on its own coroutine: it suspends the body until the
+// scheduler dispatches it again, unless it may run on without leaving
+// the coroutine (Scheduler.resumeInline).
+func (t *Task) suspend() {
+	if t.sched.resumeInline(t) {
+		return
 	}
-	t.wait()
+	if !t.yield(struct{}{}) {
+		panic(stopped{})
+	}
 }
 
 // Now returns the current virtual time.
@@ -277,8 +213,11 @@ func (t *Task) Compute(d sim.Time) {
 	if d == 0 {
 		return
 	}
+	// A WCET-overrun fault applies at burst issue time.
+	d = t.overrun(t.Now(), d)
 	t.cpuTime += d
-	t.syscall(request{kind: reqCompute, dur: d})
+	t.pendingCompute = d
+	t.suspend()
 }
 
 // Sleep blocks the task for d of virtual time. Sleep(0) yields the CPU.
@@ -292,37 +231,43 @@ func (t *Task) Sleep(d sim.Time) {
 // SleepUntil blocks the task until the absolute instant at. If at is not
 // in the future it degrades to a yield, mirroring vTaskDelayUntil.
 func (t *Task) SleepUntil(at sim.Time) {
-	t.syscall(request{kind: reqSleep, until: at})
+	t.sched.sleepUntil(t, at)
+	t.suspend()
 }
 
 // Yield releases the CPU to equal-or-higher-priority ready tasks; the task
 // stays ready and continues when scheduled again.
 func (t *Task) Yield() {
-	t.syscall(request{kind: reqYield})
+	t.sched.yieldCPU(t)
+	t.suspend()
 }
 
 // Send enqueues v on q, blocking while the queue is full.
 func (t *Task) Send(q *Queue, v any) {
-	t.syscall(request{kind: reqQueueSend, q: q, val: v})
+	q.send(t, v, 0, false)
+	t.suspend()
 }
 
 // SendTimeout enqueues v on q, giving up after d. It reports whether the
 // value was enqueued.
 func (t *Task) SendTimeout(q *Queue, v any, d sim.Time) bool {
-	t.syscall(request{kind: reqQueueSend, q: q, val: v, timeout: d, hasTimeout: true})
+	q.send(t, v, d, true)
+	t.suspend()
 	return t.blockOK
 }
 
 // Recv dequeues a value from q, blocking while the queue is empty.
 func (t *Task) Recv(q *Queue) any {
-	t.syscall(request{kind: reqQueueRecv, q: q})
+	q.recv(t, 0, false)
+	t.suspend()
 	return t.blockVal
 }
 
 // RecvTimeout dequeues a value from q, giving up after d. The boolean
 // reports whether a value was received.
 func (t *Task) RecvTimeout(q *Queue, d sim.Time) (any, bool) {
-	t.syscall(request{kind: reqQueueRecv, q: q, timeout: d, hasTimeout: true})
+	q.recv(t, d, true)
+	t.suspend()
 	if !t.blockOK {
 		return nil, false
 	}
@@ -342,27 +287,32 @@ func (t *Task) TryRecv(q *Queue) (any, bool) {
 // Take acquires one unit from the semaphore, blocking while none are
 // available.
 func (t *Task) Take(s *Semaphore) {
-	t.syscall(request{kind: reqSemTake, sem: s})
+	s.take(t, 0, false)
+	t.suspend()
 }
 
 // TakeTimeout acquires one unit from the semaphore, giving up after d.
 func (t *Task) TakeTimeout(s *Semaphore, d sim.Time) bool {
-	t.syscall(request{kind: reqSemTake, sem: s, timeout: d, hasTimeout: true})
+	s.take(t, d, true)
+	t.suspend()
 	return t.blockOK
 }
 
 // Give releases one unit to the semaphore.
 func (t *Task) Give(s *Semaphore) {
-	t.syscall(request{kind: reqSemGive, sem: s})
+	s.give(t)
+	t.suspend()
 }
 
 // Lock acquires mu, blocking while it is held. The holder's priority is
 // boosted to the highest priority among waiters (priority inheritance).
 func (t *Task) Lock(mu *Mutex) {
-	t.syscall(request{kind: reqMutexLock, mu: mu})
+	mu.lock(t)
+	t.suspend()
 }
 
 // Unlock releases mu, restoring the holder's inherited priority.
 func (t *Task) Unlock(mu *Mutex) {
-	t.syscall(request{kind: reqMutexUnlock, mu: mu})
+	mu.unlock(t)
+	t.suspend()
 }

@@ -28,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -112,6 +113,13 @@ type Kernel struct {
 	// before run-time events), then run-time events.
 	constructionSeq    uint64
 	constructionMarked bool
+
+	// Run-loop context, published while Run, RunBeforeHook or
+	// RunUntilIdle fires events, so TakeNext can take the loop's next
+	// step from inside a callback exactly as the loop would.
+	looping   bool
+	loopUntil Time   // last instant the loop fires events at
+	loopHook  func() // RunBeforeHook's instant-boundary callback
 
 	// Heap-operation counters; regression tests pin the fused run loop to
 	// exactly one pop per fired event (see TestRunHeapOpsPerFiredEvent).
@@ -319,6 +327,45 @@ func (k *Kernel) fire(n *node) {
 	fn()
 }
 
+// TakeNext lets an event callback take the running loop's next step
+// itself when it can perform the due event's effect inline. If ev is the
+// very event the loop running Run, RunBeforeHook or RunUntilIdle would
+// fire next — the run not stopped, no stop condition holding after the
+// event in progress, ev within the run's bound — TakeNext invokes the
+// instant-boundary hook as the loop would, pops ev and advances the
+// clock to it, accounting it as fired, but does not call its callback:
+// the caller performs that effect. Otherwise it changes nothing and
+// reports false, and the loop fires ev in due course.
+func (k *Kernel) TakeNext(ev Event) bool {
+	n := ev.n
+	if !k.looping || k.stopped || len(k.queue) == 0 || k.queue[0] != n || n.gen != ev.gen || n.at > k.loopUntil {
+		return false
+	}
+	if len(k.stopConds) > 0 && k.shouldStop() {
+		return false
+	}
+	if k.loopHook != nil && n.at > k.now {
+		k.loopHook()
+	}
+	k.heapPop()
+	n.fn = taken
+	k.fire(n)
+	return true
+}
+
+// taken stands in for the callback of an event taken inline, whose
+// effect the caller performs.
+func taken() {}
+
+// enterLoop publishes the run-loop context TakeNext consults: events up
+// to and including until fire, with hook at instant boundaries.
+func (k *Kernel) enterLoop(until Time, hook func()) {
+	k.looping, k.loopUntil, k.loopHook = true, until, hook
+}
+
+// exitLoop withdraws the run-loop context.
+func (k *Kernel) exitLoop() { k.looping, k.loopHook = false, nil }
+
 // Step fires the single next event, advancing the clock to its instant.
 // It reports false when the queue is empty.
 func (k *Kernel) Step() bool {
@@ -375,6 +422,8 @@ func (k *Kernel) Run(horizon Time) {
 		k.MarkConstruction()
 	}
 	k.stopped = false
+	k.enterLoop(horizon, nil)
+	defer k.exitLoop()
 	for !k.stopped {
 		if len(k.queue) == 0 || k.queue[0].at > horizon {
 			break
@@ -400,11 +449,16 @@ func (k *Kernel) RunBefore(bound Time) { k.RunBeforeHook(bound, nil) }
 // RunBeforeHook is RunBefore with an instant-boundary callback: whenever
 // every event at the current instant has fired and the next event lies at
 // a later instant (still strictly before bound), boundary is invoked with
-// the clock parked on the completed instant — the kernel is idle between
-// events, which is exactly when a snapshot of the surrounding system can
-// be eligible. It is invoked a final time after the clock lands on bound
-// (the state RunBefore leaves behind). boundary must not schedule,
-// cancel or fire events; read-only inspection and state capture only.
+// the clock parked on the completed instant — between events, which is
+// exactly when a snapshot of the surrounding system can be eligible. It
+// is invoked a final time after the clock lands on bound (the state
+// RunBefore leaves behind). boundary must not schedule, cancel or fire
+// events; read-only inspection and state capture only.
+//
+// The boundary before an event taken inline by TakeNext runs inside the
+// callback that called TakeNext, with that callback still on the stack.
+// A boundary that captures state must therefore recognise such a
+// mid-callback instant as ineligible (rtos.Scheduler.Quiescent does).
 func (k *Kernel) RunBeforeHook(bound Time, boundary func()) {
 	if bound < k.now {
 		panic(fmt.Sprintf("sim: RunBeforeHook bound %v before now %v", bound, k.now))
@@ -413,6 +467,8 @@ func (k *Kernel) RunBeforeHook(bound Time, boundary func()) {
 		k.MarkConstruction()
 	}
 	k.stopped = false
+	k.enterLoop(bound-1, boundary)
+	defer k.exitLoop()
 	for !k.stopped {
 		if len(k.queue) == 0 || k.queue[0].at >= bound {
 			break
@@ -443,6 +499,8 @@ func (k *Kernel) RunUntilIdle() {
 		k.MarkConstruction()
 	}
 	k.stopped = false
+	k.enterLoop(math.MaxInt64, nil)
+	defer k.exitLoop()
 	for !k.stopped && k.Step() {
 		if len(k.stopConds) > 0 && k.shouldStop() {
 			k.stopped = true
