@@ -536,7 +536,8 @@ func BenchmarkTraceFirstAt(b *testing.B) {
 // scan afterwards), online without early stop, and online with early
 // stop. The kernel-events/op metric shows the simulated work saved —
 // early-stopped runs fire a fraction of the full-horizon events while
-// producing identical verdicts (asserted in TestOnlineTableIMatchesGolden).
+// producing identical verdicts (asserted in the internal/monitor
+// equivalence tests).
 func BenchmarkMonitorOnlineVsPostHoc(b *testing.B) {
 	req := gpca.REQ1()
 	gen := core.Generator{

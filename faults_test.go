@@ -2,7 +2,7 @@ package rmtest_test
 
 // End-to-end checks of the fault-injection subsystem: the
 // fault-attribution sweep against its golden CSV at several worker
-// counts (online and post-hoc), the five-class attribution acceptance,
+// counts, the five-class attribution acceptance,
 // panic containment and accounting in faulted campaigns, containment of
 // a panicking task body, the
 // deadline-boundary equivalence of the online monitor under an injected
@@ -24,6 +24,7 @@ import (
 	"rmtest/internal/core"
 	"rmtest/internal/faults"
 	"rmtest/internal/gpca"
+	"rmtest/internal/leakcheck"
 	"rmtest/internal/monitor"
 	"rmtest/internal/platform"
 	"rmtest/internal/rtos"
@@ -32,23 +33,21 @@ import (
 
 // TestFaultSweepMatchesGolden pins the fault-attribution sweep byte for
 // byte: the rendered CSV must equal testdata/faults_seed42.csv at every
-// worker count, with the post-hoc evaluator and with the online monitor.
+// worker count.
 func TestFaultSweepMatchesGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/faults_seed42.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, online := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4} {
-			res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
-				Samples: 10, Seed: 42, Workers: workers, Online: online,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d online=%v: %v", workers, online, err)
-			}
-			if got := rmtest.RenderFaultCSV(res.Attributions); got != string(golden) {
-				t.Errorf("workers=%d online=%v: fault CSV deviates from golden:\n%s", workers, online, got)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
+			Samples: 10, Seed: 42, Workers: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := rmtest.RenderFaultCSV(res.Attributions); got != string(golden) {
+			t.Errorf("workers=%d: fault CSV deviates from golden:\n%s", workers, got)
 		}
 	}
 }
@@ -170,11 +169,7 @@ func TestFaultedCampaignPanicAccounting(t *testing.T) {
 	}
 	// All task goroutines must wind down, including the half-built
 	// system the panic unwound through.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before {
+	if now, ok := leakcheck.Settle(before, 5*time.Second); !ok {
 		t.Errorf("goroutines leaked: %d before, %d after", before, now)
 	}
 }
@@ -239,11 +234,7 @@ func TestTaskPanicContainedInCampaign(t *testing.T) {
 			t.Errorf("run %d differs from the clean campaign:\n%s\nwant:\n%s", i, got, want)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before {
+	if now, ok := leakcheck.Settle(before, 5*time.Second); !ok {
 		t.Errorf("goroutines leaked: %d before, %d after", before, now)
 	}
 }

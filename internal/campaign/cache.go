@@ -5,8 +5,8 @@
 // candidate sets. Every candidate evaluation is a pure function of its
 // inputs — that is the campaign determinism contract — so a candidate can
 // be content-addressed by a fingerprint over everything that feeds the
-// run (stimuli instants and events, sub-seed, scheme, fault plan, monitor
-// mode) and its result reused instead of re-simulated.
+// run (stimuli instants and events, sub-seed, scheme, fault plan) and its
+// result reused instead of re-simulated.
 //
 // Determinism is preserved by construction:
 //
@@ -236,52 +236,72 @@ func (c *Cache) Stats() CacheStats {
 // next encounter, and duplicate keys of a failed run share the failure
 // within the batch only. A nil cache degrades to plain MapScratch.
 func MapScratchCached[T, S any](cfg Config, cache *Cache, keys []uint64, newScratch func() S, fn func(Run, S) (T, error)) []Outcome[T] {
-	n := len(keys)
 	if cache == nil {
-		return MapScratch(cfg, n, newScratch, fn)
+		return MapScratch(cfg, len(keys), newScratch, fn)
 	}
+	return mapCached(cfg, cache, keys, func(outs []Outcome[T], primaries []int) {
+		// Each sub-run is handed its ORIGINAL Run identity — the
+		// sub-campaign's own index/seed derivation is ignored — so results
+		// cannot depend on which runs happened to hit.
+		sub := MapScratch(cfg, len(primaries), newScratch, func(r Run, scratch S) (T, error) {
+			return fn(outs[primaries[r.Index]].Run, scratch)
+		})
+		for k, i := range primaries {
+			outs[i].Value, outs[i].Err = sub[k].Value, sub[k].Err
+		}
+	})
+}
+
+// mapCached is the cache protocol MapScratchCached and MapBatchCached
+// share. It assigns every run its MapScratch identity, resolves hits and
+// batch-internal duplicates in run order, and hands the remaining
+// primaries to exec, which must fill in their Value and Err. It then
+// commits the primaries' successful results on this goroutine in run
+// order (deterministic eviction) and fans each primary's outcome out to
+// its duplicates. With a nil cache every run is a primary and nothing is
+// looked up or committed.
+func mapCached[T any](cfg Config, cache *Cache, keys []uint64, exec func(outs []Outcome[T], primaries []int)) []Outcome[T] {
+	n := len(keys)
 	outs := make([]Outcome[T], n)
 	seeds := Seeds(cfg.Seed, n)
 	for i := range outs {
 		outs[i].Run = Run{Index: i, Seed: seeds[i]}
 	}
-	// Resolve hits and batch-internal duplicates in run order.
-	primaries := make([]int, 0, n)    // batch indices that must execute
-	primaryOf := make(map[uint64]int) // key -> executing batch index
-	dups := make([][2]int, 0)         // (dup index, primary index)
-	deduped := 0
-	for i, key := range keys {
-		if p, ok := primaryOf[key]; ok {
-			dups = append(dups, [2]int{i, p})
-			deduped++
-			continue
+	primaries := make([]int, 0, n) // batch indices that must execute
+	var dups [][2]int              // (dup index, primary index)
+	if cache == nil {
+		for i := range keys {
+			primaries = append(primaries, i)
 		}
-		if v, ok := cache.Get(key); ok {
-			if val, ok := v.(T); ok {
-				outs[i].Value = val
+	} else {
+		primaryOf := make(map[uint64]int) // key -> executing batch index
+		for i, key := range keys {
+			if p, ok := primaryOf[key]; ok {
+				dups = append(dups, [2]int{i, p})
 				continue
 			}
-			// A foreign value type under this key is treated as a miss
-			// (possible only when one cache is shared across experiments
-			// whose fingerprints collide — vanishingly unlikely).
+			if v, ok := cache.Get(key); ok {
+				if val, ok := v.(T); ok {
+					outs[i].Value = val
+					continue
+				}
+				// A foreign value type under this key is treated as a miss
+				// (possible only when one cache is shared across experiments
+				// whose fingerprints collide — vanishingly unlikely).
+			}
+			primaryOf[key] = i
+			primaries = append(primaries, i)
 		}
-		primaryOf[key] = i
-		primaries = append(primaries, i)
+		cache.noteDeduped(len(dups))
 	}
-	cache.noteDeduped(deduped)
-	// Execute the misses on the worker pool. Each sub-run is handed its
-	// ORIGINAL Run identity — the sub-campaign's own index/seed derivation
-	// is ignored — so results cannot depend on which runs happened to hit.
-	sub := MapScratch(Config{Workers: cfg.Workers, Seed: cfg.Seed, OnProgress: cfg.OnProgress},
-		len(primaries), newScratch,
-		func(r Run, scratch S) (T, error) {
-			return fn(outs[primaries[r.Index]].Run, scratch)
-		})
-	// Commit on this goroutine in run order: deterministic eviction.
-	for k, i := range primaries {
-		outs[i].Value, outs[i].Err = sub[k].Value, sub[k].Err
-		if sub[k].Err == nil {
-			cache.Put(keys[i], sub[k].Value)
+	if len(primaries) > 0 {
+		exec(outs, primaries)
+	}
+	if cache != nil {
+		for _, i := range primaries {
+			if outs[i].Err == nil {
+				cache.Put(keys[i], outs[i].Value)
+			}
 		}
 	}
 	for _, dp := range dups {

@@ -354,96 +354,48 @@ func protectPlain[T any](fn func(Run) (T, error), r Run) (val T, err error) {
 // evaluator sees whole batches of related candidates. batch must return
 // exactly one outcome per run, in run order; its per-run values must
 // not depend on how the misses were chunked (the PrefixEval
-// byte-identity contract). Commit order and run identities follow the
-// MapScratchCached rules — errors are never cached — so cached and
-// uncached campaigns stay byte-identical at every worker count. A nil
-// cache skips lookup and commit but still chunks.
+// byte-identity contract). Commit order, run identities and progress
+// follow the MapScratchCached rules — errors are never cached, and
+// OnProgress sees one snapshot per executed run as its chunk completes —
+// so cached and uncached campaigns stay byte-identical at every worker
+// count. A nil cache skips lookup and commit but still chunks.
 func MapBatchCached[T, S any](cfg Config, cache *Cache, keys []uint64, newScratch func() S,
 	batch func(runs []Run, scratch S) ([]Outcome[T], error)) []Outcome[T] {
-	n := len(keys)
-	outs := make([]Outcome[T], n)
-	seeds := Seeds(cfg.Seed, n)
-	for i := range outs {
-		outs[i].Run = Run{Index: i, Seed: seeds[i]}
-	}
-	if n == 0 {
-		return outs
-	}
-	primaries := make([]int, 0, n)
-	primaryOf := make(map[uint64]int)
-	dups := make([][2]int, 0)
-	deduped := 0
-	for i, key := range keys {
-		if cache != nil {
-			if p, ok := primaryOf[key]; ok {
-				dups = append(dups, [2]int{i, p})
-				deduped++
-				continue
-			}
-			if v, ok := cache.Get(key); ok {
-				if val, ok := v.(T); ok {
-					outs[i].Value = val
-					continue
-				}
-			}
-			primaryOf[key] = i
-		}
-		primaries = append(primaries, i)
-	}
-	if cache != nil {
-		cache.noteDeduped(deduped)
-	}
-	if len(primaries) > 0 {
-		// Contiguous run-order chunks, one per worker.
-		nc := cfg.workers()
-		if nc > len(primaries) {
-			nc = len(primaries)
-		}
-		chunks := make([][]int, 0, nc)
-		for c := 0; c < nc; c++ {
-			lo, hi := c*len(primaries)/nc, (c+1)*len(primaries)/nc
-			chunks = append(chunks, primaries[lo:hi])
-		}
-		results := make([][]Outcome[T], len(chunks))
-		errs := make([]error, len(chunks))
+	return mapCached(cfg, cache, keys, func(outs []Outcome[T], primaries []int) {
+		ctr := newCounters(len(primaries), cfg.OnProgress)
+		nc := min(cfg.workers(), len(primaries))
+		// eval runs one contiguous run-order chunk; chunks write disjoint
+		// slots of outs.
 		eval := func(c int) {
-			runs := make([]Run, len(chunks[c]))
-			for k, i := range chunks[c] {
+			chunk := primaries[c*len(primaries)/nc : (c+1)*len(primaries)/nc]
+			runs := make([]Run, len(chunk))
+			for k, i := range chunk {
 				runs[k] = outs[i].Run
 			}
-			results[c], errs[c] = protectBatch(batch, runs, newScratch())
-		}
-		if len(chunks) == 1 {
-			eval(0)
-		} else {
-			var wg sync.WaitGroup
-			wg.Add(len(chunks))
-			for c := range chunks {
-				go func(c int) {
-					defer wg.Done()
-					eval(c)
-				}(c)
-			}
-			wg.Wait()
-		}
-		// Commit on this goroutine in run order: deterministic eviction.
-		for c, chunk := range chunks {
+			res, err := protectBatch(batch, runs, newScratch())
 			for k, i := range chunk {
-				if errs[c] != nil {
-					outs[i].Err = errs[c]
-					continue
+				if err != nil {
+					outs[i].Err = err
+				} else {
+					outs[i].Value, outs[i].Err = res[k].Value, res[k].Err
 				}
-				outs[i].Value, outs[i].Err = results[c][k].Value, results[c][k].Err
-				if cache != nil && outs[i].Err == nil {
-					cache.Put(keys[i], results[c][k].Value)
-				}
+				ctr.finish(outs[i].Err != nil)
 			}
 		}
-	}
-	for _, dp := range dups {
-		outs[dp[0]].Value, outs[dp[0]].Err = outs[dp[1]].Value, outs[dp[1]].Err
-	}
-	return outs
+		if nc == 1 {
+			eval(0)
+			return
+		}
+		var wg sync.WaitGroup
+		wg.Add(nc)
+		for c := 0; c < nc; c++ {
+			go func(c int) {
+				defer wg.Done()
+				eval(c)
+			}(c)
+		}
+		wg.Wait()
+	})
 }
 
 // protectBatch invokes one chunk's batch callback with panic isolation

@@ -11,15 +11,17 @@
 // Briones et al. folded into per-stimulus deadline watchdogs. A machine
 // is pruned the moment its PASS/FAIL/MAX verdict fires, so monitor state
 // is O(in-flight stimuli) instead of O(trace length), and when every
-// monitored requirement is decided the kernel run is cut short
-// (sim.Kernel.StopWhen) — campaigns stop each run at its last verdict
-// instead of always simulating to the horizon.
+// monitored requirement is decided the kernel run can be cut short
+// (sim.Kernel.StopWhen).
 //
-// The engine is asserted byte-identical to the post-hoc evaluation
-// (same SampleResult values, bit for bit) on the Table I and
-// requirements-matrix goldens, including under fault injection; the
-// equivalence argument is spelled out in DESIGN.md ("Online monitoring
-// layer").
+// No experiment or CLI uses the monitor: every verdict they report comes
+// from core.Runner's post-hoc evaluation. The monitor is a library-level
+// differential oracle, asserted byte-identical to the post-hoc
+// evaluation (same SampleResult values, bit for bit) across the three
+// schemes and under fault injection, and the benchmark's traced replay
+// uses it to measure what early termination would save. The equivalence
+// argument is spelled out in DESIGN.md ("Online monitor as a
+// differential oracle").
 package monitor
 
 import (
@@ -54,8 +56,7 @@ type machine struct {
 	wd  sim.Event     // deadline watchdog, armed on m-observation
 }
 
-// Stats are the monitor's observability counters, surfaced through
-// internal/report and the CLIs' -online flag.
+// Stats are the monitor's observability counters.
 type Stats struct {
 	// Label identifies the run in reports (driver-assigned,
 	// e.g. "scheme3/R").

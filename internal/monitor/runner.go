@@ -90,25 +90,3 @@ func (r *Runner) RunM(tc core.TestCase) (core.MResult, Stats, error) {
 	defer sys.Shutdown()
 	return r.Post.AnnotateM(sys, tc, mon.Results()), mon.Stats(), nil
 }
-
-// RunRM performs the paper's layered flow online: streaming R-testing
-// first, then — on violation or when forced — streaming M-testing with
-// diagnosis, mirroring core.Runner.RunRM.
-func (r *Runner) RunRM(tc core.TestCase, force bool) (core.Report, []Stats, error) {
-	rres, rstats, err := r.RunR(tc)
-	if err != nil {
-		return core.Report{}, nil, err
-	}
-	rep := core.Report{R: rres}
-	stats := []Stats{rstats}
-	if rres.Passed() && !force {
-		return rep, stats, nil
-	}
-	mres, mstats, err := r.RunM(tc)
-	if err != nil {
-		return rep, stats, err
-	}
-	rep.M = &mres
-	rep.Diagnosis = core.Diagnose(mres)
-	return rep, append(stats, mstats), nil
-}

@@ -98,11 +98,11 @@ func newPrefixSession(t Target) *prefixSession {
 }
 
 // newGenSession creates a prefix session for one generator invocation
-// when the options call for it: sharing on, offline evaluation, a
-// single-chunk worker configuration, and no session already attached by
-// an enclosing generator.
+// when the options call for it: sharing on, a single-chunk worker
+// configuration, and no session already attached by an enclosing
+// generator.
 func newGenSession(t Target, opt Options) (*prefixSession, bool) {
-	if !opt.PrefixShare || opt.Online || opt.Workers != 1 || opt.session != nil {
+	if !opt.PrefixShare || opt.Workers != 1 || opt.session != nil {
 		return nil, false
 	}
 	return newPrefixSession(t), true
@@ -122,7 +122,6 @@ func (s *prefixSession) Close() {
 // batch walk.
 type prefixWorker struct {
 	t       Target
-	opt     Options
 	scheds  []Schedule
 	scratch *platform.Scratch
 	runner  *core.Runner
@@ -130,8 +129,8 @@ type prefixWorker struct {
 	sess    *prefixSession
 }
 
-func newPrefixWorker(t Target, opt Options, scheds []Schedule, sess *prefixSession) (*prefixWorker, error) {
-	w := &prefixWorker{t: t, opt: opt, scheds: scheds, scratch: &platform.Scratch{}, sess: sess}
+func newPrefixWorker(t Target, scheds []Schedule, sess *prefixSession) (*prefixWorker, error) {
+	w := &prefixWorker{t: t, scheds: scheds, scratch: &platform.Scratch{}, sess: sess}
 	runner, err := core.NewRunner(func(lv platform.Instrument) (*platform.System, error) {
 		return t.Prebuilt.NewSystem(t.Scheme(), lv, w.scratch)
 	}, t.Req)
@@ -258,7 +257,7 @@ func (w *prefixWorker) ops() campaign.PrefixOps[evalOut] {
 			return evalOut{Samples: w.runner.Evaluate(w.sys, tc)}, nil
 		},
 		Plain: func(run campaign.Run) (evalOut, error) {
-			return evalOne(w.t, w.opt, w.scheds[run.Index], w.scratch, platform.RLevel)
+			return evalOne(w.t, w.scheds[run.Index], w.scratch, platform.RLevel)
 		},
 		Stop: func() {
 			if w.sys == nil {
@@ -299,7 +298,7 @@ func evaluatePrefix(t Target, opt Options, seed uint64, scheds []Schedule) ([]ev
 	cfg := campaign.Config{Workers: opt.Workers, Seed: seed, OnProgress: opt.Progress}
 	keys := make([]uint64, len(scheds))
 	for i, sc := range scheds {
-		keys[i] = fingerprint(t, opt, platform.RLevel, sc)
+		keys[i] = fingerprint(t, platform.RLevel, sc)
 	}
 	// The session's live system is single-owner: only attach it when the
 	// whole batch runs as one chunk on the calling goroutine.
@@ -313,7 +312,7 @@ func evaluatePrefix(t Target, opt Options, seed uint64, scheds []Schedule) ([]ev
 	}
 	outs := campaign.MapBatchCached(cfg, opt.Cache, keys,
 		func() workerOrErr {
-			w, err := newPrefixWorker(t, opt, scheds, sess)
+			w, err := newPrefixWorker(t, scheds, sess)
 			return workerOrErr{w: w, err: err}
 		},
 		func(runs []campaign.Run, we workerOrErr) ([]campaign.Outcome[evalOut], error) {

@@ -173,9 +173,8 @@ func (p *probePlanner) pulse(sig string, at sim.Time) Stimulus {
 // the schedule and returns how many chains were added. Transitions a
 // chain already planned this round is expected to fire are skipped, as
 // are transitions that exhausted their planning attempts. A trailing
-// primary sample is appended after the chains so the online monitor's
-// early termination cannot cut the probes short: the run is only decided
-// once the trailing sample — scheduled after every probe — is.
+// primary sample is appended after the chains so the run's horizon,
+// which primary stimuli set, covers every probe.
 func (p *probePlanner) plan(s *Schedule, uncovered []string) int {
 	var ids []int
 	for _, label := range uncovered {

@@ -1,0 +1,12 @@
+package rmtest_test
+
+import (
+	"os"
+	"testing"
+
+	"rmtest/internal/leakcheck"
+)
+
+// TestMain fails the package when any test leaves goroutines running,
+// such as a simulated system that was never shut down.
+func TestMain(m *testing.M) { os.Exit(leakcheck.Main(m)) }
