@@ -4,15 +4,13 @@
 //
 // Usage:
 //
-//	rmtest [-req REQ1|REQ2|REQ3] [-scheme 1|2|3] [-n samples] [-seed n] [-force-m] [-faults] [-prefix-share] [-pprof prefix]
+//	rmtest [-req REQ1|REQ2|REQ3] [-scheme 1|2|3] [-n samples] [-seed n] [-force-m] [-coverage] [-rta] [-pprof prefix]
 //	rmtest lint [-chart gpca|gpca-extended|railcrossing] [-json] [-rta] [-platform scheme2|scheme3]
-//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-csv] [-prefix-share] [-pprof prefix]
+//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-prefix-share] [-pprof prefix]
 //
-// With -faults the command runs the fault-attribution experiment
-// instead of the single R-M flow: the REQ1 bolus scenario on scheme2,
-// once per catalogue fault plan, printing the attribution table that
-// checks M-testing blames each injected fault's expected delay segment
-// (-n and -seed compose with it).
+// -coverage measures the test suite's adequacy and suggests extra
+// stimuli; -rta prints the analytic response-time prediction for the
+// scheme. The fault-attribution sweep runs as `tablei -faults`.
 //
 // The lint subcommand runs the static-analysis layer on a shipped chart:
 // model-level findings (reachability, guard determinism, variable usage,
@@ -33,8 +31,8 @@
 // counterexample. Suites are reproducible from -seed and byte-identical
 // for any -workers value.
 //
-// gen and -faults memoise candidate evaluations by content fingerprint
-// in a 4096-entry cache; cache statistics go to stderr. -prefix-share
+// gen memoises candidate evaluations by content fingerprint in a
+// 4096-entry cache; cache statistics go to stderr. -prefix-share
 // evaluates candidate batches through the prefix-sharing snapshot/resume
 // engine — runs sharing a stimulus prefix simulate it once and resume
 // per branch from a snapshot; outputs are byte-identical either way and
@@ -72,35 +70,11 @@ func main() {
 	forceM := flag.Bool("force-m", false, "run M-testing even when R-testing passes")
 	cover := flag.Bool("coverage", false, "measure test adequacy and suggest extra stimuli")
 	rtaFlag := flag.Bool("rta", false, "print the analytic response-time prediction for the scheme")
-	faultsFlag := flag.Bool("faults", false, "run the fault-attribution experiment (REQ1 on scheme2, one run per catalogue fault plan)")
-	prefixFlag := flag.Bool("prefix-share", false, "evaluate -faults runs through the prefix-sharing snapshot/resume engine; output is byte-identical either way, stats go to stderr")
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
 
 	stopProfiles := startProfiles(*pprofPrefix)
 	defer stopProfiles()
-
-	if *faultsFlag {
-		cache := rmtest.NewEvalCache(0)
-		var sink *rmtest.PrefixStatsSink
-		if *prefixFlag {
-			sink = &rmtest.PrefixStatsSink{}
-		}
-		res, err := rmtest.FaultSweep(rmtest.FaultSweepOptions{
-			Samples: *n, Seed: *seed, Cache: cache,
-			PrefixShare: *prefixFlag, PrefixStats: sink,
-		})
-		if err != nil {
-			fail("faults: %v", err)
-		}
-		fmt.Println("== fault attribution (REQ1, scheme2) ==")
-		fmt.Print(rmtest.RenderFaultTable(res.Attributions))
-		fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
-		if sink != nil {
-			fmt.Fprintf(os.Stderr, "prefix sharing: %s\n", sink.Stats())
-		}
-		return
-	}
 
 	var req rmtest.Requirement
 	switch *reqName {

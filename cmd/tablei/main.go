@@ -4,30 +4,22 @@
 //
 // Usage:
 //
-//	tablei [-n samples] [-seed n] [-force-m] [-csv] [-transitions] [-workers n] [-progress] [-faults] [-prefix-share] [-pprof prefix]
-//	tablei -gen [-gen-budget n] [-gen-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-prefix-share] [-pprof prefix]
+//	tablei [-n samples] [-seed n] [-force-m] [-csv] [-json] [-transitions] [-matrix] [-workers n] [-progress] [-faults] [-pprof prefix]
 //
-// -gen and -faults memoise candidate evaluations by content fingerprint
-// in a 4096-entry cache; cache statistics go to stderr. -prefix-share
-// evaluates -gen and -faults batches through the prefix-sharing
-// snapshot/resume engine; outputs are byte-identical either way, and
-// sharing statistics go to stderr. -pprof PREFIX writes PREFIX.cpu.pprof
-// and PREFIX.heap.pprof profiles of the run, matching the rmtest
-// command's flag.
+// -csv and -json replace the formatted table with machine output;
+// -matrix adds the requirement x scheme conformance matrix and
+// -transitions the per-transition delays. -pprof PREFIX writes
+// PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run, matching
+// the rmtest command's flag.
 //
 // With -faults the command runs the fault-injection sweep instead: the
 // Table I scenario once per catalogue fault plan on scheme2, printing
 // the fault-attribution table (or CSV with -csv). -workers, -seed, -n
 // and -progress compose with it; results are byte-identical for any
-// worker count.
+// worker count. The sweep memoises per-plan evaluations by content
+// fingerprint in a 4096-entry cache; cache statistics go to stderr.
 //
-// With -gen the command runs the test-case generation pipeline instead
-// of replaying the hand-written Table I suite: the coverage-directed
-// generator on scheme2, the falsification search on scheme3, and
-// delta-debug shrinking of any violating schedule, on both the GPCA and
-// rail-crossing charts. -gen-budget bounds each strategy's evaluations
-// and -gen-target sets the phase-bin adequacy threshold; suites are
-// byte-identical for any -workers value.
+// The test-case generation pipeline runs as `rmtest gen`.
 package main
 
 import (
@@ -51,54 +43,16 @@ func main() {
 	workers := flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS); results are identical for any value")
 	progress := flag.Bool("progress", false, "report campaign progress and throughput on stderr")
 	faultsFlag := flag.Bool("faults", false, "run the fault-injection sweep and print the fault-attribution table")
-	genFlag := flag.Bool("gen", false, "run the test-case generation pipeline (coverage, falsification, shrinking) instead of the hand-written suite")
-	genBudget := flag.Int("gen-budget", 0, "evaluation budget per generation strategy (0 = strategy defaults)")
-	genTarget := flag.Float64("gen-target", 0, "phase-bin adequacy target for the coverage-directed generator (0 = default 0.9)")
-	prefixFlag := flag.Bool("prefix-share", false, "evaluate -gen/-faults batches through the prefix-sharing snapshot/resume engine; output is byte-identical either way, stats go to stderr")
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
 
 	stopProfiles := startProfiles(*pprofPrefix)
 	defer stopProfiles()
 
-	cache := rmtest.NewEvalCache(0)
-	var sink *rmtest.PrefixStatsSink
-	if *prefixFlag {
-		sink = &rmtest.PrefixStatsSink{}
-	}
-
-	if *genFlag {
-		gopt := rmtest.GenSuiteOptions{
-			Budget: *genBudget, Seed: *seed, Workers: *workers,
-			TargetPhase: *genTarget, Cache: cache,
-			PrefixShare: *prefixFlag, PrefixStats: sink,
-		}
-		if *progress {
-			gopt.Progress = func(p rmtest.CampaignProgress) {
-				fmt.Fprintln(os.Stderr, "tablei:", p)
-			}
-		}
-		runs, err := rmtest.GenerateSuite(gopt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tablei:", err)
-			os.Exit(1)
-		}
-		fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
-		if sink != nil {
-			fmt.Fprintf(os.Stderr, "prefix sharing: %s\n", sink.Stats())
-		}
-		if *csv {
-			fmt.Print(rmtest.RenderGenCSV(runs))
-			return
-		}
-		fmt.Print(rmtest.RenderGenSummary(runs))
-		return
-	}
-
 	if *faultsFlag {
+		cache := rmtest.NewEvalCache(0)
 		fopt := rmtest.FaultSweepOptions{
-			Samples: *n, Seed: *seed, Workers: *workers,
-			Cache: cache, PrefixShare: *prefixFlag, PrefixStats: sink,
+			Samples: *n, Seed: *seed, Workers: *workers, Cache: cache,
 		}
 		if *progress {
 			fopt.Progress = func(p rmtest.CampaignProgress) {
@@ -111,9 +65,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(cache.Stats()))
-		if sink != nil {
-			fmt.Fprintf(os.Stderr, "prefix sharing: %s\n", sink.Stats())
-		}
 		if *csv {
 			fmt.Print(rmtest.RenderFaultCSV(res.Attributions))
 			return

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -94,7 +93,7 @@ func TestFaultAttributionAcceptance(t *testing.T) {
 // Prepare hook fails exactly its own run, the campaign completes, the
 // worker's scratch is discarded, and no task goroutines leak.
 func TestFaultedCampaignPanicAccounting(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := leakcheck.Count()
 	req := gpca.REQ1()
 	gen := core.Generator{
 		N: 2, Start: 50 * time.Millisecond,
@@ -180,7 +179,7 @@ func TestFaultedCampaignPanicAccounting(t *testing.T) {
 // to the same campaign without the faulty run, and no task goroutines
 // leak.
 func TestTaskPanicContainedInCampaign(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := leakcheck.Count()
 	req := gpca.REQ1()
 	pb, err := gpca.Precompile()
 	if err != nil {

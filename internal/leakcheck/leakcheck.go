@@ -5,6 +5,7 @@
 package leakcheck
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"runtime"
@@ -20,7 +21,7 @@ import (
 //
 //	func TestMain(m *testing.M) { os.Exit(leakcheck.Main(m)) }
 func Main(m *testing.M) int {
-	before := runtime.NumGoroutine()
+	before := Count()
 	code := m.Run()
 	if now, ok := Settle(before, 5*time.Second); !ok {
 		fmt.Fprintf(os.Stderr, "leakcheck: %d goroutines before the tests, %d after\n", before, now)
@@ -32,13 +33,36 @@ func Main(m *testing.M) int {
 	return code
 }
 
-// Settle polls until at most baseline goroutines are running or the
-// timeout expires. It returns the last count and whether it settled.
+// Settle polls until Count is at most baseline or the timeout expires.
+// It returns the last count and whether it settled.
 func Settle(baseline int, timeout time.Duration) (int, bool) {
 	deadline := time.Now().Add(timeout)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+	for Count() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	now := runtime.NumGoroutine()
+	now := Count()
 	return now, now <= baseline
+}
+
+// Count returns the number of goroutines, leaving out the os/signal
+// delivery loop. That loop starts on the first signal.Notify — the
+// fuzzing engine calls it to catch interrupts — and runs until the
+// process exits, so it is never a leak.
+func Count() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if len(g) > 0 && !bytes.Contains(g, []byte("os/signal.loop")) {
+			count++
+		}
+	}
+	return count
 }

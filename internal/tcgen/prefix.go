@@ -2,6 +2,7 @@ package tcgen
 
 import (
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"rmtest/internal/campaign"
@@ -15,12 +16,15 @@ import (
 // round perturbs one stimulus of the same parent, and every ddmin
 // complement keeps most of the current schedule — so candidate
 // schedules overlap heavily in their leading stimuli. With PrefixShare
-// on, a batch is evaluated through campaign.PrefixEval: candidates are
-// sorted into a prefix trie, each shared prefix is simulated once, the
-// system state is snapshotted at the divergence instant, and each
-// branch resumes from the snapshot. Results are byte-identical to the
-// plain path at every worker count — the plain path is also the
-// automatic fallback whenever a snapshot is refused.
+// on, a batch is sorted into a prefix trie and walked depth-first on one
+// live system: each shared prefix is simulated once, the system state is
+// snapshotted at the divergence instant, and each branch resumes from
+// the snapshot. Results are byte-identical to the plain path at every
+// worker count — the snapshot machinery reproduces the exact event
+// interleaving of a from-scratch run, so chunking changes only which
+// candidates share — and the plain path is also the automatic fallback
+// whenever a snapshot is refused (the system is never quiescent near
+// the divergence bound) or the shared walk panics.
 
 // prefixSteps flattens a schedule into the step sequence used for
 // prefix comparison and incremental arming: primaries first (the order
@@ -28,37 +32,33 @@ import (
 // order the Prepare hook arms them). Preserving the plain path's arming
 // order preserves its event-sequence law — at tied instants events fire
 // in arming order — which is what makes a resumed branch byte-identical
-// to a from-scratch run.
-func (w *prefixWorker) prefixSteps(s Schedule) []campaign.PrefixStep {
-	out := make([]campaign.PrefixStep, 0, len(s.Stimuli))
-	add := func(st Stimulus, kind byte) {
-		out = append(out, campaign.PrefixStep{
-			Key: fmt.Sprintf("%c|%s|%d|%d|%d|%d", kind, st.Signal, st.Value, st.Rest, int64(st.Width), int64(st.At)),
-			At:  int64(st.At),
-			Arm: func() { w.armStimulus(st) },
-		})
-	}
+// to a from-scratch run. Two candidates share a prefix when their
+// leading steps are equal.
+func prefixSteps(s Schedule) []Stimulus {
+	out := make([]Stimulus, 0, len(s.Stimuli))
 	for _, st := range s.Stimuli {
 		if !st.Aux {
-			add(st, 'p')
+			out = append(out, st)
 		}
 	}
 	for _, st := range s.Stimuli {
 		if st.Aux {
-			add(st, 'a')
+			out = append(out, st)
 		}
 	}
 	return out
 }
 
-// armStimulus schedules one stimulus on the worker's live system,
-// exactly as the plain path does: primaries the way applyStimuli would,
-// auxiliaries the way the Prepare hook would.
-func (w *prefixWorker) armStimulus(st Stimulus) {
-	if st.Width > 0 {
-		w.sys.Env.PulseAt(st.At, st.Signal, st.Value, st.Rest, st.Width)
-	} else {
-		w.sys.Env.SetAt(st.At, st.Signal, st.Value)
+// armSteps schedules stimuli on a live system exactly as the plain path
+// does: primaries the way applyStimuli would, auxiliaries the way the
+// Prepare hook would.
+func armSteps(sys *platform.System, steps []Stimulus) {
+	for _, st := range steps {
+		if st.Width > 0 {
+			sys.Env.PulseAt(st.At, st.Signal, st.Value, st.Rest, st.Width)
+		} else {
+			sys.Env.SetAt(st.At, st.Signal, st.Value)
+		}
 	}
 }
 
@@ -118,34 +118,132 @@ func (s *prefixSession) Close() {
 	s.dead = true
 }
 
-// prefixWorker owns one chunk's live system during a prefix-shared
-// batch walk.
-type prefixWorker struct {
+// prefixWalk evaluates one contiguous chunk of a batch by walking its
+// prefix trie on one live system. All of its methods run on one
+// goroutine, which owns the live system for the whole chunk.
+type prefixWalk struct {
 	t       Target
 	scheds  []Schedule
 	scratch *platform.Scratch
 	runner  *core.Runner
-	sys     *platform.System
 	sess    *prefixSession
+	sys     *platform.System
+
+	runs  []campaign.Run
+	steps [][]Stimulus
+	hors  []sim.Time
+	outs  []campaign.Outcome[evalOut]
+	done  []bool
+	now   sim.Time
+	// resumed reports that the live system was restored from a snapshot
+	// or resumed from the session's warm-up capture: only runs finished
+	// on such a system avoided simulation and count as shared.
+	resumed bool
+	stats   campaign.PrefixStats
 }
 
-func newPrefixWorker(t Target, scheds []Schedule, sess *prefixSession) (*prefixWorker, error) {
-	w := &prefixWorker{t: t, scheds: scheds, scratch: &platform.Scratch{}, sess: sess}
+func newPrefixWalk(t Target, scheds []Schedule, runs []campaign.Run, sc *platform.Scratch, sess *prefixSession) (*prefixWalk, error) {
 	runner, err := core.NewRunner(func(lv platform.Instrument) (*platform.System, error) {
-		return t.Prebuilt.NewSystem(t.Scheme(), lv, w.scratch)
+		return t.Prebuilt.NewSystem(t.Scheme(), lv, sc)
 	}, t.Req)
 	if err != nil {
 		return nil, err
 	}
-	w.runner = runner
-	return w, nil
+	return &prefixWalk{
+		t: t, scheds: scheds, scratch: sc, runner: runner, sess: sess,
+		runs:  runs,
+		steps: make([][]Stimulus, len(runs)),
+		hors:  make([]sim.Time, len(runs)),
+		outs:  make([]campaign.Outcome[evalOut], len(runs)),
+		done:  make([]bool, len(runs)),
+	}, nil
+}
+
+// eval evaluates the chunk and returns its outcomes in run order; the
+// sharing statistics accumulate in w.stats.
+func (w *prefixWalk) eval() []campaign.Outcome[evalOut] {
+	for i, r := range w.runs {
+		sc := w.scheds[r.Index]
+		w.outs[i].Run = r
+		w.steps[i] = prefixSteps(sc)
+		w.hors[i] = sc.TestCase().Horizon(w.t.Req)
+		w.stats.PlainTime += int64(w.hors[i])
+	}
+	w.stats.Runs = len(w.runs)
+	if len(w.runs) > 0 {
+		w.walk()
+	}
+	// Fallback for everything the shared walk did not finish.
+	for i, r := range w.runs {
+		if w.done[i] {
+			continue
+		}
+		w.outs[i].Value, w.outs[i].Err = w.plain(r)
+		w.done[i] = true
+		w.stats.PlainRuns++
+		w.stats.SimTime += int64(w.hors[i])
+	}
+	return w.outs
+}
+
+// plain evaluates one run from scratch with panic isolation.
+func (w *prefixWalk) plain(r campaign.Run) (out evalOut, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("tcgen: run %d (seed %#x) panicked: %v\n%s", r.Index, r.Seed, p, debug.Stack())
+		}
+	}()
+	return evalOne(w.t, w.scheds[r.Index], w.scratch, platform.RLevel)
+}
+
+// walk runs the shared trie walk with panic isolation: a panic anywhere
+// in the shared path abandons the live system and leaves the unfinished
+// runs to the plain fallback.
+func (w *prefixWalk) walk() {
+	defer func() {
+		if p := recover(); p != nil {
+			// The live system may be wedged mid-event; stop it as well as
+			// possible and let the fallback rebuild from scratch.
+			func() {
+				defer func() { recover() }()
+				w.release(true)
+			}()
+			return
+		}
+		w.release(false)
+	}()
+	group := make([]int, len(w.runs))
+	for i := range group {
+		group[i] = i
+	}
+	d := w.extend(group, 0)
+	if err := w.start(w.steps[0][:d]); err != nil {
+		return
+	}
+	w.descend(group, d)
+}
+
+// start brings up the live system with the trunk steps armed: resumed
+// from the session's warm-up snapshot when it can serve the chunk,
+// otherwise freshly constructed at time zero.
+func (w *prefixWalk) start(steps []Stimulus) error {
+	if w.startFrom(steps) {
+		return nil
+	}
+	sys, err := w.t.Prebuilt.NewSystem(w.t.Scheme(), platform.RLevel, w.scratch)
+	if err != nil {
+		return err
+	}
+	w.sys = sys
+	armSteps(sys, steps)
+	return nil
 }
 
 // batchBound returns the earliest virtual instant any schedule in the
 // batch touches — the first stimulus At or horizon — which is the
 // latest instant a pristine warm-up snapshot may be taken at to serve
 // every candidate.
-func (w *prefixWorker) batchBound() sim.Time {
+func (w *prefixWalk) batchBound() sim.Time {
 	bound := sim.Time(1<<63 - 1)
 	for _, sc := range w.scheds {
 		if h := sc.TestCase().Horizon(w.t.Req); h < bound {
@@ -160,37 +258,36 @@ func (w *prefixWorker) batchBound() sim.Time {
 	return bound
 }
 
-// startFrom resumes the batch from the session's warm-up snapshot,
-// deepening it first when the batch's bound allows. It reports the
-// virtual instant the live system resumes at, or ok=false when the
-// session cannot serve this batch — no session, a refused capture, or a
-// batch needing state earlier than the snapshot — in which case the
-// caller constructs a fresh system from time zero.
-func (w *prefixWorker) startFrom(steps []campaign.PrefixStep) (int64, bool) {
+// startFrom resumes the chunk from the session's warm-up snapshot,
+// deepening it first when the batch's bound allows. It reports false
+// when the session cannot serve this chunk — no session, a refused
+// capture, or a batch needing state earlier than the snapshot — in
+// which case the caller constructs a fresh system from time zero.
+func (w *prefixWalk) startFrom(steps []Stimulus) bool {
 	sess := w.sess
 	if sess == nil || sess.dead {
-		return 0, false
+		return false
 	}
 	target := w.batchBound() - sessionMargin
 	if target <= 0 {
-		return 0, false
+		return false
 	}
 	if sess.sys == nil {
 		sys, err := w.t.Prebuilt.NewSystem(w.t.Scheme(), platform.RLevel, sess.scratch)
 		if err != nil {
 			sess.dead = true
-			return 0, false
+			return false
 		}
 		snap, ok := sys.AdvanceSnapshot(target)
 		if !ok {
 			sys.Shutdown()
 			sess.dead = true
-			return 0, false
+			return false
 		}
 		sess.sys, sess.snap = sys, snap
 	} else {
 		if sess.snap.At() > target {
-			return 0, false
+			return false
 		}
 		if target > sess.snap.At() {
 			// Deepen: replay from the snapshot with nothing armed and
@@ -206,94 +303,134 @@ func (w *prefixWorker) startFrom(steps []campaign.PrefixStep) (int64, bool) {
 	// construction events — the same tied-instant ordering as arming at
 	// system construction in a plain run.
 	w.sys = sess.sys
-	w.sys.Restore(sess.snap, func() {
-		for _, st := range steps {
-			st.Arm()
-		}
-	})
-	return int64(sess.snap.At()), true
+	w.sys.Restore(sess.snap, func() { armSteps(w.sys, steps) })
+	w.now = sess.snap.At()
+	w.resumed = w.now > 0
+	return true
 }
 
-// ops builds the campaign.PrefixOps vtable over this worker.
-func (w *prefixWorker) ops() campaign.PrefixOps[evalOut] {
-	return campaign.PrefixOps[evalOut]{
-		Steps: func(run campaign.Run) []campaign.PrefixStep {
-			return w.prefixSteps(w.scheds[run.Index])
-		},
-		Horizon: func(run campaign.Run) int64 {
-			return int64(w.scheds[run.Index].TestCase().Horizon(w.t.Req))
-		},
-		Start: func(steps []campaign.PrefixStep) (int64, error) {
-			if at, ok := w.startFrom(steps); ok {
-				return at, nil
-			}
-			sys, err := w.t.Prebuilt.NewSystem(w.t.Scheme(), platform.RLevel, w.scratch)
-			if err != nil {
-				return 0, err
-			}
-			w.sys = sys
-			for _, st := range steps {
-				st.Arm()
-			}
-			return 0, nil
-		},
-		AdvanceSnapshot: func(to int64) (any, int64, bool) {
-			snap, ok := w.sys.AdvanceSnapshot(sim.Time(to))
-			if !ok {
-				return nil, 0, false
-			}
-			return snap, int64(snap.At()), true
-		},
-		Restore: func(snap any, steps []campaign.PrefixStep) {
-			w.sys.Restore(snap.(*platform.SysSnap), func() {
-				for _, st := range steps {
-					st.Arm()
-				}
-			})
-		},
-		Finish: func(run campaign.Run) (evalOut, error) {
-			tc := w.scheds[run.Index].TestCase()
-			w.sys.Run(tc.Horizon(w.t.Req))
-			return evalOut{Samples: w.runner.Evaluate(w.sys, tc)}, nil
-		},
-		Plain: func(run campaign.Run) (evalOut, error) {
-			return evalOne(w.t, w.scheds[run.Index], w.scratch, platform.RLevel)
-		},
-		Stop: func() {
-			if w.sys == nil {
-				return
-			}
-			if w.sess != nil && w.sys == w.sess.sys {
-				// The session keeps its system alive for the next batch;
-				// the warm-up snapshot rewinds whatever state this walk
-				// left behind.
-				w.sys = nil
-				return
-			}
-			w.sys.Shutdown()
-			w.sys = nil
-		},
-		Abort: func() {
-			// A panic mid-walk may leave the live system wedged; if it was
-			// the session's, the session must never resume from it.
-			if w.sess != nil && w.sys == w.sess.sys {
-				w.sess.Close()
-				w.sys = nil
-				return
-			}
-			if w.sys != nil {
-				w.sys.Shutdown()
-				w.sys = nil
-			}
-		},
+// release lets go of the live system. The session's system stays alive
+// for the next batch — the warm-up snapshot rewinds whatever state this
+// walk left behind — unless the walk panicked (wedged): a possibly
+// wedged session system is closed so no later batch resumes from it.
+func (w *prefixWalk) release(wedged bool) {
+	if w.sys == nil {
+		return
 	}
+	if w.sess != nil && w.sys == w.sess.sys {
+		if wedged {
+			w.sess.Close()
+		}
+	} else {
+		w.sys.Shutdown()
+	}
+	w.sys = nil
+}
+
+// extend returns the depth of the longest step prefix shared by every
+// candidate in the group, starting from an already-shared depth d.
+func (w *prefixWalk) extend(group []int, d int) int {
+	for {
+		first := w.steps[group[0]]
+		if len(first) <= d {
+			return d
+		}
+		for _, i := range group[1:] {
+			st := w.steps[i]
+			if len(st) <= d || st[d] != first[d] {
+				return d
+			}
+		}
+		d++
+	}
+}
+
+// descend processes one trie node: the live system has the group's
+// shared steps [0:d) armed and its clock at w.now, which is at or
+// before the At of every unarmed step and every horizon in the group.
+func (w *prefixWalk) descend(group []int, d int) {
+	if len(group) == 1 {
+		w.finish(group[0])
+		return
+	}
+	// Advance the shared trunk to the divergence bound — the earliest
+	// instant any candidate's unarmed suffix (or horizon) needs — and
+	// snapshot at the latest eligible instant on the way there. Branches
+	// resume from the snapshot and replay the (short) shared tail up to
+	// the bound themselves.
+	tAdv := w.hors[group[0]]
+	for _, i := range group {
+		tAdv = min(tAdv, w.hors[i])
+		for _, st := range w.steps[i][d:] {
+			tAdv = min(tAdv, st.At)
+		}
+	}
+	entry, ok := w.sys.AdvanceSnapshot(tAdv)
+	if tAdv > w.now {
+		w.stats.SimTime += int64(tAdv - w.now)
+		w.now = tAdv
+	}
+	if !ok {
+		return // whole subtree falls back to plain evaluation
+	}
+	w.stats.Snapshots++
+
+	// Terminal candidates (their whole sequence is armed) run to their
+	// horizon from the entry snapshot; children partition by their next
+	// step, in first-seen order, and recurse.
+	var order []Stimulus
+	children := make(map[Stimulus][]int)
+	for _, i := range group {
+		st := w.steps[i]
+		if len(st) == d {
+			w.restore(entry, nil)
+			w.finish(i)
+			continue
+		}
+		if _, seen := children[st[d]]; !seen {
+			order = append(order, st[d])
+		}
+		children[st[d]] = append(children[st[d]], i)
+	}
+	for _, next := range order {
+		ch := children[next]
+		d2 := w.extend(ch, d)
+		w.restore(entry, w.steps[ch[0]][d:d2])
+		w.descend(ch, d2)
+	}
+}
+
+func (w *prefixWalk) restore(snap *platform.SysSnap, steps []Stimulus) {
+	w.sys.Restore(snap, func() { armSteps(w.sys, steps) })
+	w.stats.Restores++
+	w.now = snap.At()
+	w.resumed = true
+}
+
+// finish runs the live system to run i's horizon and extracts its
+// verdicts.
+func (w *prefixWalk) finish(i int) {
+	tc := w.scheds[w.runs[i].Index].TestCase()
+	w.sys.Run(w.hors[i])
+	w.outs[i].Value = evalOut{Samples: w.runner.Evaluate(w.sys, tc)}
+	w.done[i] = true
+	if w.resumed {
+		w.stats.SharedRuns++
+	} else {
+		w.stats.PlainRuns++
+	}
+	if h := w.hors[i]; h > w.now {
+		w.stats.SimTime += int64(h - w.now)
+	}
+	w.now = w.hors[i]
 }
 
 // evaluatePrefix is the PrefixShare variant of evaluate: same campaign
 // configuration, fingerprints, cache semantics and run identities, but
 // the cache misses are walked as prefix tries on contiguous run-order
-// chunks, one per worker. Batch sharing statistics accumulate into
-// opt's stats sink via the returned stats.
+// chunks, one per worker. Each chunk's sharing statistics accumulate
+// into opt's stats sink; sums are order-independent, so the aggregate
+// is deterministic even though chunks finish in scheduling order.
 func evaluatePrefix(t Target, opt Options, seed uint64, scheds []Schedule) ([]evalOut, error) {
 	cfg := campaign.Config{Workers: opt.Workers, Seed: seed, OnProgress: opt.Progress}
 	keys := make([]uint64, len(scheds))
@@ -306,31 +443,18 @@ func evaluatePrefix(t Target, opt Options, seed uint64, scheds []Schedule) ([]ev
 	if opt.Workers != 1 {
 		sess = nil
 	}
-	type workerOrErr struct {
-		w   *prefixWorker
-		err error
-	}
 	outs := campaign.MapBatchCached(cfg, opt.Cache, keys,
-		func() workerOrErr {
-			w, err := newPrefixWorker(t, scheds, sess)
-			return workerOrErr{w: w, err: err}
-		},
-		func(runs []campaign.Run, we workerOrErr) ([]campaign.Outcome[evalOut], error) {
-			if we.err != nil {
-				return nil, we.err
+		func() *platform.Scratch { return &platform.Scratch{} },
+		func(runs []campaign.Run, sc *platform.Scratch) ([]campaign.Outcome[evalOut], error) {
+			w, err := newPrefixWalk(t, scheds, runs, sc, sess)
+			if err != nil {
+				return nil, err
 			}
-			res, stats := campaign.PrefixEval(runs, we.w.ops())
-			recordPrefixStats(opt, stats)
+			res := w.eval()
+			if opt.PrefixStats != nil {
+				opt.PrefixStats.Add(w.stats)
+			}
 			return res, nil
 		})
 	return campaign.Values(outs)
-}
-
-// recordPrefixStats folds one chunk's sharing statistics into the
-// option sink, if any. Sums are order-independent, so the aggregate is
-// deterministic even though chunks finish in scheduling order.
-func recordPrefixStats(opt Options, stats campaign.PrefixStats) {
-	if opt.PrefixStats != nil {
-		opt.PrefixStats.Add(stats)
-	}
 }

@@ -20,8 +20,14 @@ import (
 // schedule plus mutants that each perturb one stimulus.
 func falsifyBatch(t *testing.T, tg Target, n int) []Schedule {
 	t.Helper()
+	return falsifyBatchSeeded(tg, n, 0x5eed)
+}
+
+// falsifyBatchSeeded is falsifyBatch with the batch seed as a
+// parameter.
+func falsifyBatchSeeded(tg Target, n int, seed uint64) []Schedule {
 	tg = tg.normalised()
-	rs := sim.NewRand(0x5eed)
+	rs := sim.NewRand(seed)
 	base := seedSchedule(tg, "prefix-batch", 4, rs.Uint64())
 	scheds := []Schedule{base}
 	for len(scheds) < n {
@@ -62,6 +68,65 @@ func TestPrefixShareByteIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// FuzzPrefixShareMatchesPlain: prefix-shared evaluation must equal
+// plain evaluation on any hill-climb-shaped batch — batch seed, batch
+// size and worker count (1 or 2) are fuzzed — on a target that shares
+// (crossing on scheme 2) and one that falls back (GPCA on the saturated
+// scheme 3), and every run must be accounted for as shared or plain.
+func FuzzPrefixShareMatchesPlain(f *testing.F) {
+	f.Add(uint64(0x5eed), uint8(8), uint8(1))
+	f.Add(uint64(0x5eed), uint8(8), uint8(2))
+	targets := []struct {
+		name   string
+		target Target
+	}{
+		{"crossing-scheme2", crossingTarget(f, scheme2).normalised()},
+		{"gpca-scheme3", gpcaTarget(f, scheme3).normalised()},
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, size, workers uint8) {
+		n := 2 + int(size%8) // the shared path needs a batch of two or more
+		w := 1 + int(workers%2)
+		for _, tc := range targets {
+			scheds := falsifyBatchSeeded(tc.target, n, seed)
+			plain, err := evaluate(tc.target, Options{}.normalised(), 7, platform.RLevel, scheds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := &campaign.PrefixStatsSink{}
+			opt := Options{Workers: w, PrefixShare: true, PrefixStats: sink}.normalised()
+			shared, err := evaluate(tc.target, opt, 7, platform.RLevel, scheds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, shared) {
+				t.Fatalf("%s n=%d workers=%d: shared evaluation diverged from plain\nplain:  %+v\nshared: %+v",
+					tc.name, n, w, plain, shared)
+			}
+			if st := sink.Stats(); st.Runs != n || st.Runs != st.SharedRuns+st.PlainRuns {
+				t.Fatalf("%s n=%d workers=%d: run accounting inconsistent: %+v", tc.name, n, w, st)
+			}
+		}
+	})
+}
+
+// TestPrefixShareSingletonChunksArePlain: a batch split into singleton
+// chunks (two candidates, two workers) restores nothing and has no
+// session, so every run is simulated from time zero and must count as
+// plain, not shared.
+func TestPrefixShareSingletonChunksArePlain(t *testing.T) {
+	tg := gpcaTarget(t, scheme2).normalised()
+	scheds := falsifyBatch(t, tg, 2)
+	sink := &campaign.PrefixStatsSink{}
+	opt := Options{Workers: 2, PrefixShare: true, PrefixStats: sink}.normalised()
+	if _, err := evaluate(tg, opt, 7, platform.RLevel, scheds); err != nil {
+		t.Fatal(err)
+	}
+	st := sink.Stats()
+	if st.Runs != 2 || st.SharedRuns != 0 || st.PlainRuns != 2 || st.Restores != 0 {
+		t.Fatalf("singleton chunks: %v, want 2 runs, 0 shared, 2 plain, 0 restores", st)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"rmtest/internal/railcrossing"
 )
 
-func gpcaTarget(t *testing.T, scheme func() platform.Scheme) Target {
+func gpcaTarget(t testing.TB, scheme func() platform.Scheme) Target {
 	t.Helper()
 	pb, err := gpca.Precompile()
 	if err != nil {
@@ -33,7 +33,7 @@ func gpcaTarget(t *testing.T, scheme func() platform.Scheme) Target {
 	}
 }
 
-func crossingTarget(t *testing.T, scheme func() platform.Scheme) Target {
+func crossingTarget(t testing.TB, scheme func() platform.Scheme) Target {
 	t.Helper()
 	pb, err := platform.Precompile(railcrossing.PlatformConfig())
 	if err != nil {

@@ -1,9 +1,9 @@
 package rmtest_test
 
-// Byte-identity checks of the prefix-sharing snapshot/resume engine at
-// the facade level: with PrefixShare set, the generation pipeline and
-// the fault-attribution sweep must reproduce their golden CSVs exactly,
-// at every worker count, with and without the evaluation cache.
+// Byte-identity check of the prefix-sharing snapshot/resume engine at
+// the facade level: with PrefixShare set, the generation pipeline must
+// reproduce its golden CSV exactly, at every worker count, with and
+// without the evaluation cache.
 
 import (
 	"os"
@@ -59,47 +59,4 @@ func TestGenerateSuiteGoldenPrefixShare(t *testing.T) {
 	}
 	t.Logf("generation prefix stats: %d runs (%d shared, %d plain), %d snapshots, %d restores, %.1f%% reuse",
 		st.Runs, st.SharedRuns, st.PlainRuns, st.Snapshots, st.Restores, 100*st.ReuseRatio())
-}
-
-// TestFaultSweepGoldenPrefixShare pins the prefix-shared fault sweep
-// byte for byte against testdata/faults_seed42.csv. The catalogue's
-// windows mostly open at time zero, so the plans diverge immediately
-// and the engine shares only system construction — the check is that
-// sharing never changes a byte, not that it saves much here.
-func TestFaultSweepGoldenPrefixShare(t *testing.T) {
-	golden, err := os.ReadFile("testdata/faults_seed42.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &rmtest.PrefixStatsSink{}
-	run := func(workers int, cached bool) {
-		t.Helper()
-		opt := rmtest.FaultSweepOptions{
-			Samples: 10, Seed: 42, Workers: workers,
-			PrefixShare: true, PrefixStats: sink,
-		}
-		if cached {
-			opt.Cache = rmtest.NewEvalCache(0)
-		}
-		res, err := rmtest.FaultSweep(opt)
-		if err != nil {
-			t.Fatalf("workers=%d cached=%v: %v", workers, cached, err)
-		}
-		if got := rmtest.RenderFaultCSV(res.Attributions); got != string(golden) {
-			t.Errorf("workers=%d cached=%v: prefix-shared fault CSV deviates from golden:\n%s",
-				workers, cached, got)
-		}
-	}
-	for _, workers := range []int{1, 2, 4} {
-		for _, cached := range []bool{false, true} {
-			run(workers, cached)
-		}
-	}
-
-	if st := sink.Stats(); st.Runs == 0 {
-		t.Errorf("prefix engine saw no runs: %+v", st)
-	} else {
-		t.Logf("fault-sweep prefix stats: %d runs (%d shared, %d plain), %d snapshots, %d restores, %.1f%% reuse",
-			st.Runs, st.SharedRuns, st.PlainRuns, st.Snapshots, st.Restores, 100*st.ReuseRatio())
-	}
 }

@@ -237,17 +237,16 @@ type (
 	EvalCacheStats = campaign.CacheStats
 )
 
-// Prefix-sharing evaluation engine (internal/campaign): candidate runs
-// sharing a stimulus prefix simulate it once on a snapshot/resume
-// walker. Enable with GenSuiteOptions.PrefixShare or
-// FaultSweepOptions.PrefixShare; outputs stay byte-identical to plain
+// Prefix-sharing statistics (internal/campaign) of the generation
+// pipeline's snapshot/resume walker (internal/tcgen): candidate runs
+// sharing a stimulus prefix simulate it once. Enable with
+// GenSuiteOptions.PrefixShare; outputs stay byte-identical to plain
 // evaluation.
 type (
 	// PrefixStats summarises how much simulation prefix sharing avoided.
 	PrefixStats = campaign.PrefixStats
 	// PrefixStatsSink accumulates prefix-sharing statistics across
-	// batches; pass one to GenSuiteOptions.PrefixStats or
-	// FaultSweepOptions.PrefixStats.
+	// batches; pass one to GenSuiteOptions.PrefixStats.
 	PrefixStatsSink = campaign.PrefixStatsSink
 )
 
