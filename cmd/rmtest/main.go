@@ -6,7 +6,7 @@
 //
 //	rmtest [-req REQ1|REQ2|REQ3] [-scheme 1|2|3] [-n samples] [-seed n] [-force-m] [-coverage] [-rta] [-pprof prefix]
 //	rmtest lint [-chart gpca|gpca-extended|railcrossing] [-json] [-rta] [-platform scheme2|scheme3]
-//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-prefix-share] [-pprof prefix]
+//	rmtest gen [-budget n] [-target ratio] [-seed n] [-workers n] [-csv] [-progress] [-pprof prefix]
 //
 // -coverage measures the test suite's adequacy and suggests extra
 // stimuli; -rta prints the analytic response-time prediction for the
@@ -32,12 +32,8 @@
 // for any -workers value.
 //
 // gen memoises candidate evaluations by content fingerprint in a
-// 4096-entry cache; cache statistics go to stderr. -prefix-share
-// evaluates candidate batches through the prefix-sharing snapshot/resume
-// engine — runs sharing a stimulus prefix simulate it once and resume
-// per branch from a snapshot; outputs are byte-identical either way and
-// sharing statistics go to stderr. -pprof PREFIX writes PREFIX.cpu.pprof and
-// PREFIX.heap.pprof profiles of the run.
+// 4096-entry cache; cache statistics go to stderr. -pprof PREFIX writes
+// PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run.
 package main
 
 import (
@@ -231,7 +227,6 @@ func runGen(args []string) {
 	workers := fs.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS); suites are identical for any value")
 	asCSV := fs.Bool("csv", false, "emit byte-stable CSV instead of the formatted summary")
 	progress := fs.Bool("progress", false, "report campaign progress on stderr")
-	prefixFlag := fs.Bool("prefix-share", false, "evaluate candidate batches through the prefix-sharing snapshot/resume engine; suites are byte-identical either way, stats go to stderr")
 	pprofPrefix := fs.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	fs.Parse(args)
 
@@ -241,10 +236,6 @@ func runGen(args []string) {
 	opt := rmtest.GenSuiteOptions{
 		Budget: *budget, Seed: *seed, Workers: *workers,
 		TargetPhase: *target, Cache: rmtest.NewEvalCache(0),
-		PrefixShare: *prefixFlag,
-	}
-	if *prefixFlag {
-		opt.PrefixStats = &rmtest.PrefixStatsSink{}
 	}
 	if *progress {
 		opt.Progress = func(p rmtest.CampaignProgress) {
@@ -256,9 +247,6 @@ func runGen(args []string) {
 		fail("gen: %v", err)
 	}
 	fmt.Fprint(os.Stderr, rmtest.RenderCacheStats(opt.Cache.Stats()))
-	if opt.PrefixStats != nil {
-		fmt.Fprintf(os.Stderr, "prefix sharing: %s\n", opt.PrefixStats.Stats())
-	}
 	if *asCSV {
 		fmt.Print(rmtest.RenderGenCSV(runs))
 		return

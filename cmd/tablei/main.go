@@ -6,11 +6,11 @@
 //
 //	tablei [-n samples] [-seed n] [-force-m] [-csv] [-json] [-transitions] [-matrix] [-workers n] [-progress] [-faults] [-pprof prefix]
 //
-// -csv and -json replace the formatted table with machine output;
+// -csv or -json replaces the formatted table with machine output;
 // -matrix adds the requirement x scheme conformance matrix and
-// -transitions the per-transition delays. -pprof PREFIX writes
-// PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run, matching
-// the rmtest command's flag.
+// -transitions the per-transition delays to the formatted table.
+// -pprof PREFIX writes PREFIX.cpu.pprof and PREFIX.heap.pprof profiles
+// of the run, matching the rmtest command's flag.
 //
 // With -faults the command runs the fault-injection sweep instead: the
 // Table I scenario once per catalogue fault plan on scheme2, printing
@@ -19,10 +19,15 @@
 // worker count. The sweep memoises per-plan evaluations by content
 // fingerprint in a 4096-entry cache; cache statistics go to stderr.
 //
+// Flags that would be ignored are rejected with exit status 2: -csv
+// with -json, -csv or -json with -matrix or -transitions, and -faults
+// with -json, -matrix or -transitions.
+//
 // The test-case generation pipeline runs as `rmtest gen`.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,6 +50,10 @@ func main() {
 	faultsFlag := flag.Bool("faults", false, "run the fault-injection sweep and print the fault-attribution table")
 	pprofPrefix := flag.String("pprof", "", "write PREFIX.cpu.pprof and PREFIX.heap.pprof profiles of the run")
 	flag.Parse()
+	if err := checkFlags(*csv, *jsonOut, *matrix, *trans, *faultsFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "tablei:", err)
+		os.Exit(2)
+	}
 
 	stopProfiles := startProfiles(*pprofPrefix)
 	defer stopProfiles()
@@ -137,6 +146,20 @@ func main() {
 			fmt.Printf("\nDiagnosis (%s):\n%s", rep.R.Scheme, rmtest.RenderFindings(rep.Diagnosis))
 		}
 	}
+}
+
+// checkFlags rejects output-flag combinations the command would
+// otherwise silently ignore.
+func checkFlags(csv, json, matrix, trans, faults bool) error {
+	switch {
+	case csv && json:
+		return errors.New("-csv and -json are mutually exclusive")
+	case faults && (json || matrix || trans):
+		return errors.New("-faults prints the fault table (or CSV with -csv); it does not combine with -json, -matrix or -transitions")
+	case (csv || json) && (matrix || trans):
+		return errors.New("-matrix and -transitions add to the formatted table; they do not combine with -csv or -json")
+	}
+	return nil
 }
 
 // startProfiles begins CPU profiling when prefix is non-empty and

@@ -239,7 +239,36 @@ func MapScratchCached[T, S any](cfg Config, cache *Cache, keys []uint64, newScra
 	if cache == nil {
 		return MapScratch(cfg, len(keys), newScratch, fn)
 	}
-	return mapCached(cfg, cache, keys, func(outs []Outcome[T], primaries []int) {
+	n := len(keys)
+	outs := make([]Outcome[T], n)
+	seeds := Seeds(cfg.Seed, n)
+	for i := range outs {
+		outs[i].Run = Run{Index: i, Seed: seeds[i]}
+	}
+	// Resolve hits and batch-internal duplicates in run order; the
+	// remaining primaries execute.
+	primaries := make([]int, 0, n)
+	var dups [][2]int                 // (dup index, primary index)
+	primaryOf := make(map[uint64]int) // key -> executing batch index
+	for i, key := range keys {
+		if p, ok := primaryOf[key]; ok {
+			dups = append(dups, [2]int{i, p})
+			continue
+		}
+		if v, ok := cache.Get(key); ok {
+			if val, ok := v.(T); ok {
+				outs[i].Value = val
+				continue
+			}
+			// A foreign value type under this key is treated as a miss
+			// (possible only when one cache is shared across experiments
+			// whose fingerprints collide — vanishingly unlikely).
+		}
+		primaryOf[key] = i
+		primaries = append(primaries, i)
+	}
+	cache.noteDeduped(len(dups))
+	if len(primaries) > 0 {
 		// Each sub-run is handed its ORIGINAL Run identity — the
 		// sub-campaign's own index/seed derivation is ignored — so results
 		// cannot depend on which runs happened to hit.
@@ -249,59 +278,12 @@ func MapScratchCached[T, S any](cfg Config, cache *Cache, keys []uint64, newScra
 		for k, i := range primaries {
 			outs[i].Value, outs[i].Err = sub[k].Value, sub[k].Err
 		}
-	})
-}
-
-// mapCached is the cache protocol MapScratchCached and MapBatchCached
-// share. It assigns every run its MapScratch identity, resolves hits and
-// batch-internal duplicates in run order, and hands the remaining
-// primaries to exec, which must fill in their Value and Err. It then
-// commits the primaries' successful results on this goroutine in run
-// order (deterministic eviction) and fans each primary's outcome out to
-// its duplicates. With a nil cache every run is a primary and nothing is
-// looked up or committed.
-func mapCached[T any](cfg Config, cache *Cache, keys []uint64, exec func(outs []Outcome[T], primaries []int)) []Outcome[T] {
-	n := len(keys)
-	outs := make([]Outcome[T], n)
-	seeds := Seeds(cfg.Seed, n)
-	for i := range outs {
-		outs[i].Run = Run{Index: i, Seed: seeds[i]}
 	}
-	primaries := make([]int, 0, n) // batch indices that must execute
-	var dups [][2]int              // (dup index, primary index)
-	if cache == nil {
-		for i := range keys {
-			primaries = append(primaries, i)
-		}
-	} else {
-		primaryOf := make(map[uint64]int) // key -> executing batch index
-		for i, key := range keys {
-			if p, ok := primaryOf[key]; ok {
-				dups = append(dups, [2]int{i, p})
-				continue
-			}
-			if v, ok := cache.Get(key); ok {
-				if val, ok := v.(T); ok {
-					outs[i].Value = val
-					continue
-				}
-				// A foreign value type under this key is treated as a miss
-				// (possible only when one cache is shared across experiments
-				// whose fingerprints collide — vanishingly unlikely).
-			}
-			primaryOf[key] = i
-			primaries = append(primaries, i)
-		}
-		cache.noteDeduped(len(dups))
-	}
-	if len(primaries) > 0 {
-		exec(outs, primaries)
-	}
-	if cache != nil {
-		for _, i := range primaries {
-			if outs[i].Err == nil {
-				cache.Put(keys[i], outs[i].Value)
-			}
+	// Commit on this goroutine in run order (deterministic eviction),
+	// then fan each primary's outcome out to its duplicates.
+	for _, i := range primaries {
+		if outs[i].Err == nil {
+			cache.Put(keys[i], outs[i].Value)
 		}
 	}
 	for _, dp := range dups {

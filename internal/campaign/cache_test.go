@@ -270,72 +270,3 @@ func TestMapScratchCachedForeignTypeIsMiss(t *testing.T) {
 		t.Errorf("foreign-typed entry not treated as miss: execs=%d out=%v", execs.Load(), outs[0])
 	}
 }
-
-// --- MapBatchCached --------------------------------------------------
-
-// TestMapBatchCachedProgressMatchesMapScratchCached: both cached mappers
-// report one progress snapshot per executed run, counted against the
-// number of runs that execute (hits and in-batch duplicates excluded),
-// with failures tallied the same way. At one worker both execute in run
-// order, so the streams must match snapshot for snapshot.
-func TestMapBatchCachedProgressMatchesMapScratchCached(t *testing.T) {
-	keys := []uint64{20, 21, 20, 22, 23, 21, 24} // 20 is warm; 20 and 21 repeat
-	const failKey = 23
-	val := func(r Run) (string, error) {
-		if keys[r.Index] == failKey {
-			return "", errors.New("boom")
-		}
-		return fmt.Sprintf("val-%d", keys[r.Index]), nil
-	}
-	type snap struct{ Total, Done, Failed int }
-	record := func(stream *[]snap) func(Progress) {
-		return func(p Progress) { *stream = append(*stream, snap{p.Total, p.Done, p.Failed}) }
-	}
-	warm := func() *Cache {
-		c := NewCache(0)
-		c.Put(20, "val-20")
-		return c
-	}
-	for _, workers := range []int{1, 2} {
-		for _, cached := range []bool{false, true} {
-			var perRun, perBatch []snap
-			var c1, c2 *Cache
-			if cached {
-				c1, c2 = warm(), warm()
-			}
-			cfg := Config{Workers: workers, Seed: 3, OnProgress: record(&perRun)}
-			want := MapScratchCached(cfg, c1, keys, newInt, func(r Run, _ *int) (string, error) { return val(r) })
-			cfg.OnProgress = record(&perBatch)
-			got := MapBatchCached(cfg, c2, keys, newInt, func(runs []Run, _ *int) ([]Outcome[string], error) {
-				outs := make([]Outcome[string], len(runs))
-				for k, r := range runs {
-					outs[k].Run = r
-					outs[k].Value, outs[k].Err = val(r)
-				}
-				return outs, nil
-			})
-			label := fmt.Sprintf("workers=%d cached=%v", workers, cached)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: outcomes differ:\n%v\n%v", label, got, want)
-			}
-			executed := len(keys)
-			if cached {
-				executed = 4 // 21, 22, 23, 24: 20 hits, the repeats dedup
-			}
-			if len(perRun) != executed || len(perBatch) != executed {
-				t.Fatalf("%s: %d snapshots per run, %d per batch; want %d each", label, len(perRun), len(perBatch), executed)
-			}
-			for k := range perBatch {
-				if s := perBatch[k]; s.Total != executed || s.Done != k+1 {
-					t.Errorf("%s: batch snapshot %d = %+v, want Total %d Done %d", label, k, s, executed, k+1)
-				}
-			}
-			if perBatch[executed-1] != perRun[executed-1] {
-				t.Errorf("%s: final snapshots differ: batch %+v, per run %+v", label, perBatch[executed-1], perRun[executed-1])
-			}
-			if workers == 1 && !reflect.DeepEqual(perBatch, perRun) {
-				t.Errorf("%s: progress streams differ:\nbatch   %v\nper run %v", label, perBatch, perRun)
-			}
-		}
-	}
-}

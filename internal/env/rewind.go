@@ -2,7 +2,7 @@ package env
 
 import "rmtest/internal/sim"
 
-// Snapshot/restore support for the prefix-sharing candidate evaluator.
+// Snapshot/restore support for platform.System.Snapshot/Restore.
 // Only signal values and their change bookkeeping are captured; watcher
 // lists are structural (wired once at system construction) and pending
 // SetAt/PulseAt stimuli live on the kernel heap, which captures and

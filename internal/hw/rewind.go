@@ -2,7 +2,7 @@ package hw
 
 import "rmtest/internal/sim"
 
-// Snapshot/restore support for the prefix-sharing candidate evaluator.
+// Snapshot/restore support for platform.System.Snapshot/Restore.
 // Devices capture their latch/command state, fault-window cursors and
 // pseudo-random stream positions; pending device events (sample ticks,
 // deferred jitter commits, in-flight actuation effects, fault window

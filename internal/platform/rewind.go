@@ -12,11 +12,11 @@ import (
 )
 
 // This file orchestrates snapshot/restore across the whole vertical
-// stack, for the prefix-sharing candidate evaluator: when many
-// candidate schedules share a stimulus prefix, the shared prefix is
-// simulated once, a snapshot is taken at the divergence instant, and
-// each branch resumes from the snapshot instead of replaying the prefix
-// from time zero.
+// stack: a run advanced to some instant is captured, and the system can
+// later be rewound to that instant and resumed — optionally with extra
+// stimuli or faults armed — instead of replaying the run from time zero.
+// No evaluation pipeline uses it today; FuzzSnapshotRoundTrip (root
+// package) pins it as a library.
 //
 // A snapshot is only taken at a quiescent instant — kernel idle between
 // events, no task mid-release, no compute/switch in flight — so no

@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the RTOS half of the snapshot/restore machinery
-// behind the prefix-sharing candidate evaluator: capturing the complete
+// (platform.System.Snapshot/Restore): capturing the complete
 // task/scheduler/queue state of a quiescent instant and rewinding a live
 // scheduler back to it.
 //

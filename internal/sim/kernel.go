@@ -440,8 +440,8 @@ func (k *Kernel) Run(horizon Time) {
 
 // RunBefore fires every event scheduled strictly before bound, then
 // advances the clock to exactly bound, leaving events at bound (and
-// later) pending. It is the prefix-advance primitive of the
-// snapshot/resume evaluator: after RunBefore(t) the kernel state is
+// later) pending. It is the advance primitive behind
+// platform.System.AdvanceSnapshot: after RunBefore(t) the kernel state is
 // exactly the state a plain run has at the moment its first event at t
 // is about to fire. Stop conditions are honoured like in Run.
 func (k *Kernel) RunBefore(bound Time) { k.RunBeforeHook(bound, nil) }

@@ -211,24 +211,11 @@ type Options struct {
 	// with and without a cache at any worker count and capacity; the cache
 	// may be shared across strategies, charts and fault sweeps.
 	Cache *campaign.Cache
-	// PrefixShare evaluates R-level candidate batches (falsification
-	// mutants, ddmin complements) with prefix sharing: candidates that
-	// share a stimulus prefix simulate it once, snapshot at the
-	// divergence instant and resume per branch. Results are
-	// byte-identical to plain evaluation at every worker count, with or
-	// without a cache; M-level evaluations always take the plain path.
-	PrefixShare bool
-	// PrefixStats, when set, accumulates prefix-sharing statistics
-	// (snapshots, restores, reuse ratio) across every PrefixShare batch
-	// of the run.
+	// PrefixStats is accepted and never written.
+	//
+	// Deprecated: generation evaluates every candidate from scratch, so
+	// the sink stays zero.
 	PrefixStats *campaign.PrefixStatsSink
-
-	// session, when set, carries a pristine warm-up snapshot across the
-	// batches of one generator invocation (see prefixSession). It is
-	// attached internally by the falsification and shrinking generators
-	// and never exposed: sessions are single-owner and tied to one
-	// generator's evaluation sequence.
-	session *prefixSession
 }
 
 // normalised fills the Options defaults.
@@ -327,14 +314,6 @@ func violated(samples []core.SampleResult) bool {
 // keeps run seeds independent across rounds; results are byte-identical
 // at any worker count.
 func evaluate(t Target, opt Options, seed uint64, level platform.Instrument, scheds []Schedule) ([]evalOut, error) {
-	// Prefix sharing pays off for any batch of two or more candidates;
-	// singletons only go through the shared path when a generator session
-	// exists, whose warm-up snapshot lets even a lone candidate skip the
-	// simulated time before its first stimulus.
-	if opt.PrefixShare && level == platform.RLevel &&
-		(len(scheds) > 1 || (opt.session != nil && len(scheds) > 0)) {
-		return evaluatePrefix(t, opt, seed, scheds)
-	}
 	cfg := campaign.Config{Workers: opt.Workers, Seed: seed, OnProgress: opt.Progress}
 	keys := make([]uint64, len(scheds))
 	for i, sc := range scheds {
@@ -348,8 +327,7 @@ func evaluate(t Target, opt Options, seed uint64, level platform.Instrument, sch
 	return campaign.Values(outs)
 }
 
-// evalOne runs one candidate schedule from scratch — the plain path and
-// the reference every shared evaluation must be byte-identical to.
+// evalOne runs one candidate schedule from scratch.
 func evalOne(t Target, sched Schedule, sc *platform.Scratch, level platform.Instrument) (evalOut, error) {
 	factory := func(lv platform.Instrument) (*platform.System, error) {
 		return t.Prebuilt.NewSystem(t.Scheme(), lv, sc)

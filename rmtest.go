@@ -237,16 +237,16 @@ type (
 	EvalCacheStats = campaign.CacheStats
 )
 
-// Prefix-sharing statistics (internal/campaign) of the generation
-// pipeline's snapshot/resume walker (internal/tcgen): candidate runs
-// sharing a stimulus prefix simulate it once. Enable with
-// GenSuiteOptions.PrefixShare; outputs stay byte-identical to plain
-// evaluation.
+// Zero-valued prefix-sharing statistics (internal/campaign), kept for
+// callers of the deprecated PrefixStats option fields.
 type (
-	// PrefixStats summarises how much simulation prefix sharing avoided.
+	// PrefixStats is always zero.
+	//
+	// Deprecated: no pipeline shares a simulated prefix.
 	PrefixStats = campaign.PrefixStats
-	// PrefixStatsSink accumulates prefix-sharing statistics across
-	// batches; pass one to GenSuiteOptions.PrefixStats.
+	// PrefixStatsSink is accepted and never written.
+	//
+	// Deprecated: no pipeline shares a simulated prefix.
 	PrefixStatsSink = campaign.PrefixStatsSink
 )
 
