@@ -12,13 +12,18 @@
 // (benchstat-style, without the statistics) and exits non-zero when a
 // regression exceeds the thresholds. A benchmark present in the
 // baseline but missing from the current run is warned about on stderr
-// and skipped — renaming or retiring benchmarks never fails the gate. Because ns/op is host-dependent
-// while allocs/op is deterministic, the default policy fails only on
-// allocation regressions; pass -max-ns-regress to also gate on time and
-// -max-metric-regress to gate on custom b.ReportMetric counters (which
-// are deterministic too). With -markdown the comparison renders as a
-// GitHub-flavoured table, ready for a CI job summary
-// ($GITHUB_STEP_SUMMARY).
+// and skipped — renaming or retiring benchmarks never fails the gate.
+// Because ns/op is host-dependent while allocs/op and B/op are
+// deterministic, the default policy fails only on allocation regressions
+// (-max-alloc-regress, applied to both allocs/op and B/op); pass
+// -max-ns-regress to also gate on time and -max-metric-regress to gate
+// on custom b.ReportMetric counters (which are deterministic too). With
+// -markdown the comparison renders as a GitHub-flavoured table, ready
+// for a CI job summary ($GITHUB_STEP_SUMMARY).
+//
+// A recorded file carries the host it was measured on: the CPU from the
+// `cpu:` header of the bench output, GOMAXPROCS from the benchmark name
+// suffix, and the Go version benchcmp runs under.
 package main
 
 import (
@@ -29,6 +34,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,32 +52,53 @@ type Result struct {
 	Samples int `json:"samples,omitempty"`
 }
 
+// Host describes the machine a trajectory was recorded on.
+type Host struct {
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+}
+
 // File is the trajectory file layout.
 type File struct {
 	// Note describes what the numbers are a baseline of.
 	Note       string   `json:"note,omitempty"`
+	Host       Host     `json:"host"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
 // benchLine matches e.g.
 //
 //	BenchmarkKernelScheduleFire-8   5000000   250.3 ns/op   16 B/op   1 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
-func parseBench(r *bufio.Scanner) ([]Result, error) {
+// parseBench reads `go test -bench` output: the benchmark lines, and the
+// host's CPU and GOMAXPROCS from the `cpu:` header and the name suffix.
+func parseBench(r *bufio.Scanner) ([]Result, Host, error) {
 	var out []Result
+	var host Host
 	for r.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(r.Text()))
+		line := strings.TrimSpace(r.Text())
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			host.CPU = cpu
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		n, _ := strconv.ParseInt(m[2], 10, 64)
+		// go test names a benchmark without a -N suffix at GOMAXPROCS 1.
+		host.GOMAXPROCS = 1
+		if m[2] != "" {
+			host.GOMAXPROCS, _ = strconv.Atoi(m[2])
+		}
+		n, _ := strconv.ParseInt(m[3], 10, 64)
 		res := Result{Name: m[1], N: n}
-		fields := strings.Fields(m[3])
+		fields := strings.Fields(m[4])
 		for i := 0; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchcmp: bad value %q in %q", fields[i], r.Text())
+				return nil, host, fmt.Errorf("benchcmp: bad value %q in %q", fields[i], r.Text())
 			}
 			switch unit := fields[i+1]; unit {
 			case "ns/op":
@@ -89,22 +116,23 @@ func parseBench(r *bufio.Scanner) ([]Result, error) {
 		}
 		out = append(out, res)
 	}
-	return out, r.Err()
+	return out, host, r.Err()
 }
 
 func record(path, note string) error {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	results, err := parseBench(sc)
+	results, host, err := parseBench(sc)
 	if err != nil {
 		return err
 	}
 	if len(results) == 0 {
 		return fmt.Errorf("benchcmp: no benchmark lines on stdin")
 	}
+	host.GoVersion = runtime.Version()
 	results = medians(results)
 	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
-	data, err := json.MarshalIndent(File{Note: note, Benchmarks: results}, "", "  ")
+	data, err := json.MarshalIndent(File{Note: note, Host: host, Benchmarks: results}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -184,8 +212,8 @@ func delta(oldV, newV float64) float64 {
 }
 
 // compareOpts bundles the comparison policy: per-unit regression
-// thresholds in percent (negative disables gating on that unit) and the
-// output format.
+// thresholds in percent (negative disables gating on that unit;
+// maxAllocRegress gates allocs/op and B/op) and the output format.
 type compareOpts struct {
 	maxAllocRegress  float64
 	maxNsRegress     float64
@@ -251,7 +279,7 @@ func compare(oldPath, newPath string, opts compareOpts) (failed bool, err error)
 			maxDelta float64 // <0 disables gating
 		}{
 			{"ns/op", o.NsPerOp, n.NsPerOp, opts.maxNsRegress},
-			{"B/op", o.BPerOp, n.BPerOp, -1},
+			{"B/op", o.BPerOp, n.BPerOp, opts.maxAllocRegress},
 			{"allocs/op", o.AllocsOp, n.AllocsOp, opts.maxAllocRegress},
 		}
 		// Custom metrics (b.ReportMetric): compared whenever both sides
@@ -326,7 +354,7 @@ func renderMarkdown(w io.Writer, rows []row) {
 func main() {
 	recordPath := flag.String("record", "", "parse `go test -bench` output from stdin and write this JSON file")
 	note := flag.String("note", "", "note stored in the recorded file")
-	maxAllocRegress := flag.Float64("max-alloc-regress", 5, "fail when allocs/op regresses more than this percentage (negative disables)")
+	maxAllocRegress := flag.Float64("max-alloc-regress", 5, "fail when allocs/op or B/op regresses more than this percentage (negative disables)")
 	maxNsRegress := flag.Float64("max-ns-regress", -1, "fail when ns/op regresses more than this percentage (negative disables; host-dependent)")
 	maxMetricRegress := flag.Float64("max-metric-regress", 5, "fail when a custom b.ReportMetric unit regresses more than this percentage (negative disables)")
 	markdown := flag.Bool("markdown", false, "render the comparison as a GitHub-flavoured markdown table (for CI job summaries)")

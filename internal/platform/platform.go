@@ -258,13 +258,15 @@ func (pb *Prebuilt) Mapping() fourvar.Mapping { return pb.mapping }
 
 // Scratch pools the run-local machinery one campaign worker can safely
 // reuse between sequential runs: the simulation kernel (event pool and
-// queue capacity survive Reset) and the four-variable trace (event and
-// stream-index capacity survive Reset). The zero value is ready to use;
-// pass the same Scratch to successive NewSystem calls on one worker.
+// queue capacity survive Reset), the four-variable trace (event and
+// stream-index capacity survive Reset) and the RTOS trace ring (reset
+// and cleared in place — it is most of a run's allocated bytes). The
+// zero value is ready to use; pass the same Scratch to successive
+// NewSystem calls on one worker.
 //
 // The caller must Shutdown the previous System before building the next
 // one from the same Scratch, and must not touch the previous System
-// afterwards — its kernel and trace are recycled in place.
+// afterwards — its kernel and traces are recycled in place.
 //
 // The TransitionTrace is deliberately NOT pooled: M-level results retain
 // it (coverage analysis reads it after the campaign), so recycling it
@@ -272,6 +274,7 @@ func (pb *Prebuilt) Mapping() fourvar.Mapping { return pb.mapping }
 type Scratch struct {
 	kernel *sim.Kernel
 	trace  *fourvar.Trace
+	sched  *rtos.Trace
 }
 
 // take returns the pooled kernel and trace, reset for a fresh run, and
@@ -305,7 +308,7 @@ func NewSystem(cfg Config, scheme Scheme, level Instrument) (*System, error) {
 
 // NewSystem assembles one implemented system from the precompiled
 // program. scratch may be nil (everything is freshly allocated) or a
-// per-worker Scratch whose kernel and trace are recycled into the new
+// per-worker Scratch whose kernel and traces are recycled into the new
 // system. The scheduler, environment, board and executor are always
 // rebuilt — they are cheap, and the RTOS owns task coroutine state that
 // must not leak between runs.
@@ -315,15 +318,17 @@ func (pb *Prebuilt) NewSystem(scheme Scheme, level Instrument, scratch *Scratch)
 	}
 	var k *sim.Kernel
 	var tr *fourvar.Trace
+	var schedTrace *rtos.Trace
 	if scratch != nil {
 		k, tr = scratch.take()
+		schedTrace = scratch.sched
 	} else {
 		k, tr = sim.New(), fourvar.NewTrace()
 	}
 	cfg := pb.cfg
 	sys := &System{
 		Kernel:     k,
-		Sched:      rtos.New(k, cfg.RTOS),
+		Sched:      rtos.NewWithTrace(k, cfg.RTOS, schedTrace),
 		Env:        env.New(k),
 		Trace:      tr,
 		TransTrace: fourvar.NewTransitionTrace(),
@@ -333,6 +338,9 @@ func (pb *Prebuilt) NewSystem(scheme Scheme, level Instrument, scratch *Scratch)
 		prog:       pb.prog,
 		taskEnv:    &taskEnv{k: k},
 		mapping:    pb.mapping,
+	}
+	if scratch != nil {
+		scratch.sched = sys.Sched.Trace()
 	}
 	var err error
 	sys.Board, err = hw.NewBoard(sys.Env, cfg.Board)

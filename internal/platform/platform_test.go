@@ -9,6 +9,7 @@ import (
 	"rmtest/internal/codegen"
 	"rmtest/internal/fourvar"
 	"rmtest/internal/hw"
+	"rmtest/internal/rtos"
 	"rmtest/internal/statechart"
 )
 
@@ -420,6 +421,67 @@ func TestScratchReuseDeterministic(t *testing.T) {
 		if i > 0 && len(sys.TransTrace.Records()) == 0 {
 			t.Fatal("reused-scratch run lost its transition trace")
 		}
+		sys.Shutdown()
+	}
+}
+
+// TestScratchRecyclesSchedTrace: a Scratch recycles the RTOS trace ring
+// across runs, and every recycled ring records exactly what a fresh one
+// does — also a small ring that wraps, and across a capacity change,
+// which replaces the ring.
+func TestScratchRecyclesSchedTrace(t *testing.T) {
+	small := pumpConfig()
+	small.RTOS.TraceCapacity = 16
+	s1 := func() Scheme { return DefaultScheme1() }
+	s2 := func() Scheme { return DefaultScheme2() }
+	steps := []struct {
+		cfg    Config
+		scheme func() Scheme
+		until  time.Duration
+	}{
+		{pumpConfig(), s2, 500 * ms},
+		{pumpConfig(), s1, 200 * ms},
+		{small, s2, 500 * ms},
+		{small, s1, 300 * ms},
+		{pumpConfig(), s1, 300 * ms},
+	}
+	run := func(cfg Config, scheme Scheme, until time.Duration, sc *Scratch) (*System, []rtos.TraceRecord) {
+		pb, err := Precompile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := pb.NewSystem(scheme, MLevel, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pressBolus(sys, 40*ms, 60*ms)
+		sys.Run(until)
+		return sys, sys.Sched.Trace().Records()
+	}
+	sc := &Scratch{}
+	var prev *rtos.Trace
+	for i, st := range steps {
+		fresh, want := run(st.cfg, st.scheme(), st.until, nil)
+		fresh.Shutdown()
+		sys, got := run(st.cfg, st.scheme(), st.until, sc)
+		tr := sys.Sched.Trace()
+		if len(got) != len(want) || tr.Total() != fresh.Sched.Trace().Total() {
+			t.Fatalf("step %d: %d records (total %d), fresh ring %d (total %d)",
+				i, len(got), tr.Total(), len(want), fresh.Sched.Trace().Total())
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("step %d record %d: %v, fresh ring %v", i, j, got[j], want[j])
+			}
+		}
+		reused := i > 0 && steps[i-1].cfg.RTOS.TraceCapacity == st.cfg.RTOS.TraceCapacity
+		if reused != (tr == prev) {
+			t.Fatalf("step %d: ring reused=%v, want %v", i, tr == prev, reused)
+		}
+		if st.cfg.RTOS.TraceCapacity == 16 && tr.Total() <= 16 {
+			t.Fatalf("step %d: small ring never wrapped (%d records)", i, tr.Total())
+		}
+		prev = tr
 		sys.Shutdown()
 	}
 }

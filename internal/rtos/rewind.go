@@ -92,10 +92,10 @@ type SchedSnap struct {
 // captured, so any held mutex also disqualifies.
 //
 // sim.Kernel.RunBeforeHook also reports instant boundaries from inside a
-// task's coroutine, when the task takes its compute completion inline
+// task's coroutine, when the task completes a compute burst inline
 // (resumeInline). Those fail several checks here at once: the task is
-// current and mid-release, its burst's completion is still pending, and
-// the scheduling pass that dispatched it is on the stack (inLoop).
+// current and mid-release, and the scheduling pass that dispatched it is
+// on the stack (inLoop).
 func (s *Scheduler) Quiescent() bool {
 	if s.current != nil || s.switching || s.kickPending || s.inLoop {
 		return false

@@ -76,12 +76,18 @@ type Scheduler struct {
 }
 
 // New returns a scheduler bound to kernel k.
-func New(k *sim.Kernel, cfg Config) *Scheduler {
+func New(k *sim.Kernel, cfg Config) *Scheduler { return NewWithTrace(k, cfg, nil) }
+
+// NewWithTrace is New recording into tr, the trace ring of an earlier
+// scheduler that is no longer used (per-worker recycling between runs).
+// The ring is reset in place; a nil ring, or one whose capacity differs
+// from cfg.TraceCapacity, is replaced by a fresh one.
+func NewWithTrace(k *sim.Kernel, cfg Config, tr *Trace) *Scheduler {
 	cap := cfg.TraceCapacity
 	if cap <= 0 {
 		cap = 4096
 	}
-	s := &Scheduler{k: k, cfg: cfg, trace: newTrace(cap), queues: make(map[string]*Queue)}
+	s := &Scheduler{k: k, cfg: cfg, trace: tr.recycle(cap), queues: make(map[string]*Queue)}
 	s.kickFn, s.switchDoneFn, s.sliceEndFn = s.runKick, s.finishSwitch, s.endSlice
 	return s
 }
@@ -544,9 +550,12 @@ func (s *Scheduler) wake(t *Task) {
 // its coroutine, may run on without returning to schedLoop, because the
 // round trip would change nothing: the loop would dispatch t straight
 // back, or — for a compute burst — the burst's completion is the very
-// next event the kernel would fire, and it is taken inline (Kernel.
-// TakeNext). Either way the state, events and trace are exactly those of
-// the round trip; only the two coroutine switches are saved.
+// next event the kernel would fire, and it is completed inline (Kernel.
+// AdvanceInline) without ever being scheduled. A burst that would arm a
+// round-robin slice is always scheduled: the slice event fires first.
+// Either way the state, firing order and trace are exactly those of the
+// round trip; only the two coroutine switches and the completion event's
+// push and pop are saved.
 func (s *Scheduler) resumeInline(t *Task) bool {
 	if s.current != t {
 		return false // blocked, sleeping or yielded
@@ -557,11 +566,12 @@ func (s *Scheduler) resumeInline(t *Task) bool {
 	if t.pendingCompute == 0 {
 		return true
 	}
-	s.beginCompute(t)
-	if !s.k.TakeNext(s.computeDone) {
+	sliced := s.cfg.TimeSlice > 0 && t.pendingCompute > s.cfg.TimeSlice && s.equalPrioReady(t)
+	if sliced || !s.k.AdvanceInline(t.pendingCompute) {
+		s.beginCompute(t)
 		return false
 	}
-	t.endBurst()
+	t.pendingCompute = 0
 	return true
 }
 

@@ -93,6 +93,20 @@ func newTrace(capacity int) *Trace {
 	return &Trace{buf: make([]TraceRecord, 0, capacity)}
 }
 
+// recycle returns tr emptied for a new run with the given capacity. The
+// ring is reset in place and its whole backing array cleared, so no
+// record of the previous run (nor a task name it holds) survives; a nil
+// ring, or one of another capacity, is replaced by a fresh one.
+func (tr *Trace) recycle(capacity int) *Trace {
+	if tr == nil || cap(tr.buf) != capacity {
+		return newTrace(capacity)
+	}
+	buf := tr.buf[:cap(tr.buf)]
+	clear(buf)
+	*tr = Trace{buf: buf[:0]}
+	return tr
+}
+
 func (tr *Trace) add(at sim.Time, kind TraceKind, t *Task) {
 	tr.addRes(at, kind, t, "", "")
 }

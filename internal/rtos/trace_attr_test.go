@@ -98,3 +98,37 @@ func TestBlockAttributionQueueSemaphore(t *testing.T) {
 	}
 	s.Shutdown()
 }
+
+// TestTraceRecycleClearsRing: a recycled ring starts empty with its whole
+// backing array cleared — no record, nor a task name it held, survives
+// from the previous run — and a capacity change replaces the ring.
+func TestTraceRecycleClearsRing(t *testing.T) {
+	k := sim.New()
+	s := New(k, Config{TraceCapacity: 4})
+	s.Spawn("worker", 1, 0, func(tk *Task) {
+		for {
+			tk.Compute(time.Millisecond)
+			tk.Sleep(time.Millisecond)
+		}
+	})
+	k.Run(10 * time.Millisecond)
+	s.Shutdown()
+	old := s.Trace()
+	if !old.wrapped {
+		t.Fatal("ring never wrapped")
+	}
+	k.Reset()
+	s2 := NewWithTrace(k, Config{TraceCapacity: 4}, old)
+	tr := s2.Trace()
+	if tr != old || tr.Total() != 0 || len(tr.Records()) != 0 || tr.wrapped || tr.next != 0 {
+		t.Fatalf("recycled ring not reset: same=%v total=%d records=%d", tr == old, tr.Total(), len(tr.Records()))
+	}
+	for i, r := range tr.buf[:cap(tr.buf)] {
+		if r != (TraceRecord{}) {
+			t.Fatalf("slot %d still holds %v", i, r)
+		}
+	}
+	if s3 := NewWithTrace(k, Config{TraceCapacity: 8}, tr); s3.Trace() == tr || cap(s3.Trace().buf) != 8 {
+		t.Fatal("capacity change kept the old ring")
+	}
+}

@@ -21,6 +21,14 @@
 // DESIGN.md ("Kernel event queue and pool") for the determinism
 // invariants this structure must preserve.
 //
+// Two kinds of event skip the heap round trip. An event a callback
+// would schedule and the loop would then fire next is completed in
+// place by AdvanceInline, with no heap operation. A live Ticker's tick
+// is re-armed in place at the root — its node is re-keyed to the next
+// tick and sifted down — so one heap operation replaces a pop plus a
+// push. Both take their sequence number at the same logical point as
+// the schedule they replace, so the firing order is unchanged.
+//
 // The kernel is intentionally single-threaded. Higher layers (notably
 // internal/rtos) build coroutine-style concurrency on top of it, but at any
 // moment exactly one piece of simulation logic is executing.
@@ -45,9 +53,10 @@ type node struct {
 	at     Time
 	seq    uint64
 	fn     func()
-	gen    uint64 // bumped every time the node is released to the pool
+	gen    uint64 // bumped every time the node is released or re-armed
 	index  int    // heap index; -1 while on the free list
 	kernel *Kernel
+	tick   *Ticker // set while the node carries this ticker's next tick
 }
 
 // Event is a by-value handle to a scheduled callback, created by
@@ -115,8 +124,8 @@ type Kernel struct {
 	constructionMarked bool
 
 	// Run-loop context, published while Run, RunBeforeHook or
-	// RunUntilIdle fires events, so TakeNext can take the loop's next
-	// step from inside a callback exactly as the loop would.
+	// RunUntilIdle fires events, so AdvanceInline can take the loop's
+	// next step from inside a callback exactly as the loop would.
 	looping   bool
 	loopUntil Time   // last instant the loop fires events at
 	loopHook  func() // RunBeforeHook's instant-boundary callback
@@ -142,9 +151,11 @@ func (k *Kernel) EventsFired() uint64 { return k.fired }
 func (k *Kernel) Pending() int { return len(k.queue) }
 
 // QueueOps returns cumulative heap-operation counts: pushes (At/After),
-// pops (events leaving the queue root to fire) and removes (targeted
-// extraction by Cancel). The fused run loop guarantees pops never
-// exceeds EventsFired plus the events popped by Step outside Run.
+// pops (events leaving the queue root to fire, including a live ticker's
+// tick re-armed in place, which is its one heap operation) and removes
+// (targeted extraction by Cancel). Events completed by AdvanceInline
+// never enter the queue and count in none of them, so pops never
+// exceeds EventsFired.
 func (k *Kernel) QueueOps() (pushes, pops, removes uint64) {
 	return k.pushes, k.pops, k.removes
 }
@@ -276,6 +287,7 @@ func (k *Kernel) alloc() *node {
 func (k *Kernel) release(n *node) {
 	n.gen++
 	n.fn = nil
+	n.tick = nil
 	n.index = -1
 	k.free = append(k.free, n)
 }
@@ -307,12 +319,10 @@ func (k *Kernel) After(d Time, fn func()) Event {
 	return k.At(k.now+d, fn)
 }
 
-// fire advances the clock to n's instant and runs its callback. The node
-// is released to the pool before the callback runs, so a callback that
-// schedules a new event (the Ticker re-arm path) reuses the very node
-// that just fired.
-func (k *Kernel) fire(n *node) {
-	if n.at == k.now {
+// advance moves the clock to instant at and counts one fired event,
+// guarding against zero-time livelock.
+func (k *Kernel) advance(at Time) {
+	if at == k.now {
 		k.atInstant++
 		if k.atInstant > MaxSameInstant {
 			panic(fmt.Sprintf("sim: zero-time livelock: more than %d events at t=%v", MaxSameInstant, k.now))
@@ -320,45 +330,66 @@ func (k *Kernel) fire(n *node) {
 	} else {
 		k.atInstant = 0
 	}
-	k.now = n.at
+	k.now = at
 	k.fired++
+}
+
+// fireRoot fires the event at the heap root. A ticker's tick is re-armed
+// in place (Ticker.rearm): Stop cancels the tagged node, so a tagged node
+// in the queue is always a live ticker's. Any other event is popped, its
+// node released to the pool before the callback runs, so a callback that
+// schedules a new event reuses the very node that just fired.
+func (k *Kernel) fireRoot() {
+	n := k.queue[0]
+	if n.tick != nil {
+		k.advance(n.at)
+		n.tick.rearm(n)
+		return
+	}
+	k.heapPop()
+	k.advance(n.at)
 	fn := n.fn
 	k.release(n)
 	fn()
 }
 
-// TakeNext lets an event callback take the running loop's next step
-// itself when it can perform the due event's effect inline. If ev is the
-// very event the loop running Run, RunBeforeHook or RunUntilIdle would
-// fire next — the run not stopped, no stop condition holding after the
-// event in progress, ev within the run's bound — TakeNext invokes the
-// instant-boundary hook as the loop would, pops ev and advances the
-// clock to it, accounting it as fired, but does not call its callback:
-// the caller performs that effect. Otherwise it changes nothing and
-// reports false, and the loop fires ev in due course.
-func (k *Kernel) TakeNext(ev Event) bool {
-	n := ev.n
-	if !k.looping || k.stopped || len(k.queue) == 0 || k.queue[0] != n || n.gen != ev.gen || n.at > k.loopUntil {
+// AdvanceInline lets an event callback complete inline an event it would
+// otherwise schedule d from now, when the loop running Run, RunBeforeHook
+// or RunUntilIdle would fire that event next: the run is not stopped, no
+// stop condition holds after the event in progress, now+d lies within the
+// run's bound, and every pending event lies strictly later than now+d
+// (a pending event at now+d was scheduled earlier, so it would fire
+// first). Then AdvanceInline invokes the instant-boundary hook as the
+// loop would, takes the sequence number the schedule would have taken,
+// advances the clock to now+d and counts the event as fired — with no
+// heap operation — and the caller performs the event's effect.
+// Otherwise it changes nothing and reports false, and the caller
+// schedules the event as usual.
+func (k *Kernel) AdvanceInline(d Time) bool {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	at := k.now + d
+	if !k.looping || k.stopped || at > k.loopUntil {
+		return false
+	}
+	if len(k.queue) > 0 && k.queue[0].at <= at {
 		return false
 	}
 	if len(k.stopConds) > 0 && k.shouldStop() {
 		return false
 	}
-	if k.loopHook != nil && n.at > k.now {
+	if k.loopHook != nil && at > k.now {
 		k.loopHook()
 	}
-	k.heapPop()
-	n.fn = taken
-	k.fire(n)
+	k.seq++
+	k.advance(at)
 	return true
 }
 
-// taken stands in for the callback of an event taken inline, whose
-// effect the caller performs.
-func taken() {}
-
-// enterLoop publishes the run-loop context TakeNext consults: events up
-// to and including until fire, with hook at instant boundaries.
+// enterLoop publishes the run-loop context AdvanceInline consults:
+// events up to and including until fire, with hook at instant
+// boundaries.
 func (k *Kernel) enterLoop(until Time, hook func()) {
 	k.looping, k.loopUntil, k.loopHook = true, until, hook
 }
@@ -372,7 +403,7 @@ func (k *Kernel) Step() bool {
 	if len(k.queue) == 0 {
 		return false
 	}
-	k.fire(k.heapPop())
+	k.fireRoot()
 	return true
 }
 
@@ -413,7 +444,8 @@ func (k *Kernel) shouldStop() bool {
 //
 // The loop is a single fused pop path: the horizon check reads the heap
 // root in place (cancelled events are removed eagerly by Cancel, so the
-// root is always live) and each fired event costs exactly one heap pop.
+// root is always live) and each fired event costs exactly one heap
+// operation — a pop, or for a live ticker's tick the in-place re-arm.
 func (k *Kernel) Run(horizon Time) {
 	if horizon < k.now {
 		panic(fmt.Sprintf("sim: Run horizon %v before now %v", horizon, k.now))
@@ -428,7 +460,7 @@ func (k *Kernel) Run(horizon Time) {
 		if len(k.queue) == 0 || k.queue[0].at > horizon {
 			break
 		}
-		k.fire(k.heapPop())
+		k.fireRoot()
 		if len(k.stopConds) > 0 && k.shouldStop() {
 			k.stopped = true
 		}
@@ -455,8 +487,9 @@ func (k *Kernel) RunBefore(bound Time) { k.RunBeforeHook(bound, nil) }
 // RunBefore leaves behind). boundary must not schedule, cancel or fire
 // events; read-only inspection and state capture only.
 //
-// The boundary before an event taken inline by TakeNext runs inside the
-// callback that called TakeNext, with that callback still on the stack.
+// The boundary before an event completed by AdvanceInline runs inside
+// the callback that called AdvanceInline, with that callback still on
+// the stack.
 // A boundary that captures state must therefore recognise such a
 // mid-callback instant as ineligible (rtos.Scheduler.Quiescent does).
 func (k *Kernel) RunBeforeHook(bound Time, boundary func()) {
@@ -476,7 +509,7 @@ func (k *Kernel) RunBeforeHook(bound Time, boundary func()) {
 		if boundary != nil && k.queue[0].at > k.now {
 			boundary()
 		}
-		k.fire(k.heapPop())
+		k.fireRoot()
 		if len(k.stopConds) > 0 && k.shouldStop() {
 			k.stopped = true
 		}
@@ -622,11 +655,12 @@ func (k *Kernel) Periodic(start, period Time, fn func(n uint64)) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive period %v", period))
 	}
 	t := &Ticker{kernel: k, period: period, fn: fn}
-	// The re-arm closure is created once; every subsequent tick reuses it
-	// (and, through the pool, the event node it just fired from), so a
-	// long-running ticker's steady state allocates nothing.
+	// The node is tagged with the ticker, so every tick re-arms it in
+	// place at the root (rearm) and a long-running ticker's steady state
+	// allocates nothing. fireFn is the plain-callback path, taken only by
+	// an untagged node: a tick re-armed by the snapshot replay.
 	t.fireFn = t.fire
-	t.ev = k.At(start, t.fireFn)
+	t.arm(start)
 	return t
 }
 
@@ -662,6 +696,16 @@ func (t *Ticker) effectivePeriod() Time {
 	return p
 }
 
+// arm schedules the ticker's next tick at instant at on a node tagged
+// with the ticker.
+func (t *Ticker) arm(at Time) {
+	t.ev = t.kernel.At(at, t.fireFn)
+	t.ev.n.tick = t
+}
+
+// fire is the plain-callback tick: the loops re-arm tagged nodes in place
+// instead, so it runs only for an untagged node (a replayed tick). It
+// re-arms on a tagged node, so later ticks take the in-place path.
 func (t *Ticker) fire() {
 	if t.stopped {
 		return
@@ -669,10 +713,29 @@ func (t *Ticker) fire() {
 	n := t.n
 	t.n++
 	// Re-arm before running the callback so the callback can Stop the
-	// ticker and observe Pending()==false afterwards. The fired node was
-	// just released, so this After recycles it in place.
-	t.ev = t.kernel.After(t.effectivePeriod(), t.fireFn)
+	// ticker and observe Pending()==false afterwards.
+	t.arm(t.kernel.now + t.effectivePeriod())
 	t.fn(n)
+}
+
+// rearm is the tick of node n at the heap root, with the clock already
+// advanced to it: n is re-keyed to the next tick under the sequence
+// number the plain path's re-arm would take at this point, its
+// generation is bumped so handles to the fired tick go stale, and it is
+// sifted down from the root — one heap operation instead of a pop plus
+// a push. Then the callback runs, after the re-arm as in fire.
+func (t *Ticker) rearm(n *node) {
+	k := t.kernel
+	k.pops++
+	idx := t.n
+	t.n++
+	n.at = k.now + t.effectivePeriod()
+	n.seq = k.seq
+	k.seq++
+	n.gen++
+	k.siftDown(0, n)
+	t.ev = Event{n: n, gen: n.gen, at: n.at}
+	t.fn(idx)
 }
 
 // Stop cancels all future ticks.

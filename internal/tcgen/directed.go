@@ -36,12 +36,13 @@ func (g coverageGen) Generate(t Target, opt Options) (Result, error) {
 		budget = 32
 	}
 	rs := sim.NewRand(opt.Seed ^ 0x0c0ffee)
+	pool := &scratchPool{}
 	sched := seedSchedule(t, "gen-coverage", opt.Samples, rs.Uint64())
 	planner := newProbePlanner(t)
 	res := Result{Strategy: g.Name(), WorstIndex: -1}
 	boundaryDone := false
 	for {
-		outs, err := evaluate(t, opt, rs.Uint64(), platform.MLevel, []Schedule{sched})
+		outs, err := evaluate(t, opt, pool, rs.Uint64(), platform.MLevel, []Schedule{sched})
 		if err != nil {
 			return Result{}, err
 		}

@@ -38,9 +38,10 @@ func (g falsifyGen) Generate(t Target, opt Options) (Result, error) {
 		budget = 48
 	}
 	rs := sim.NewRand(opt.Seed ^ 0x0fa15ef)
+	pool := &scratchPool{}
 	best := seedSchedule(t, "gen-falsify", opt.Samples, rs.Uint64())
 	res := Result{Strategy: g.Name(), WorstIndex: -1}
-	outs, err := evaluate(t, opt, rs.Uint64(), platform.RLevel, []Schedule{best})
+	outs, err := evaluate(t, opt, pool, rs.Uint64(), platform.RLevel, []Schedule{best})
 	if err != nil {
 		return Result{}, err
 	}
@@ -60,7 +61,7 @@ func (g falsifyGen) Generate(t Target, opt Options) (Result, error) {
 		if room := budget - res.Evals; len(cands) > room {
 			cands = cands[:room]
 		}
-		outs, err := evaluate(t, opt, rs.Uint64(), platform.RLevel, cands)
+		outs, err := evaluate(t, opt, pool, rs.Uint64(), platform.RLevel, cands)
 		if err != nil {
 			return Result{}, err
 		}

@@ -34,8 +34,12 @@ type ShrinkResult struct {
 // shrinking parallelises without losing determinism: the accepted
 // candidate is always the lowest-indexed violating one).
 func Shrink(t Target, opt Options, s Schedule) (ShrinkResult, error) {
-	t = t.normalised()
-	opt = opt.normalised()
+	return shrink(t.normalised(), opt.normalised(), &scratchPool{}, s)
+}
+
+// shrink is Shrink on a normalised target and options, evaluating with
+// the caller's scratch pool.
+func shrink(t Target, opt Options, pool *scratchPool, s Schedule) (ShrinkResult, error) {
 	if err := t.validate(); err != nil {
 		return ShrinkResult{}, err
 	}
@@ -45,7 +49,7 @@ func Shrink(t Target, opt Options, s Schedule) (ShrinkResult, error) {
 	}
 	rs := sim.NewRand(opt.Seed ^ 0x05a1e)
 	eval := func(cands []Schedule) ([]bool, error) {
-		outs, err := evaluate(t, opt, rs.Uint64(), platform.RLevel, cands)
+		outs, err := evaluate(t, opt, pool, rs.Uint64(), platform.RLevel, cands)
 		if err != nil {
 			return nil, err
 		}
@@ -180,11 +184,12 @@ func (shrinkGen) Name() string { return "shrink" }
 func (g shrinkGen) Generate(t Target, opt Options) (Result, error) {
 	t = t.normalised()
 	opt = opt.normalised()
-	sr, err := Shrink(t, opt, g.input)
+	pool := &scratchPool{}
+	sr, err := shrink(t, opt, pool, g.input)
 	if err != nil {
 		return Result{}, err
 	}
-	outs, err := evaluate(t, opt, opt.Seed^0x07e57, platform.RLevel, []Schedule{sr.Minimal})
+	outs, err := evaluate(t, opt, pool, opt.Seed^0x07e57, platform.RLevel, []Schedule{sr.Minimal})
 	if err != nil {
 		return Result{}, err
 	}

@@ -31,6 +31,7 @@ package tcgen
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"rmtest/internal/campaign"
@@ -312,19 +313,68 @@ func violated(samples []core.SampleResult) bool {
 // order. level selects R-level (verdicts only) or M-level (verdicts plus
 // adequacy measurement) instrumentation. The per-round campaign seed
 // keeps run seeds independent across rounds; results are byte-identical
-// at any worker count.
-func evaluate(t Target, opt Options, seed uint64, level platform.Instrument, scheds []Schedule) ([]evalOut, error) {
+// at any worker count. Workers draw their scratch from pool, the
+// generator run's one pool, and return it after the batch.
+func evaluate(t Target, opt Options, pool *scratchPool, seed uint64, level platform.Instrument, scheds []Schedule) ([]evalOut, error) {
 	cfg := campaign.Config{Workers: opt.Workers, Seed: seed, OnProgress: opt.Progress}
 	keys := make([]uint64, len(scheds))
 	for i, sc := range scheds {
 		keys[i] = fingerprint(t, level, sc)
 	}
-	outs := campaign.MapScratchCached(cfg, opt.Cache, keys,
-		func() *platform.Scratch { return &platform.Scratch{} },
-		func(run campaign.Run, sc *platform.Scratch) (evalOut, error) {
-			return evalOne(t, scheds[run.Index], sc, level)
+	outs := campaign.MapScratchCached(cfg, opt.Cache, keys, pool.get,
+		func(run campaign.Run, ps *pooledScratch) (evalOut, error) {
+			ps.busy = true
+			out, err := evalOne(t, scheds[run.Index], &ps.sc, level)
+			ps.busy = false
+			return out, err
 		})
+	pool.reclaim()
 	return campaign.Values(outs)
+}
+
+// scratchPool lends platform.Scratch values to the campaign workers of
+// one generator run, so the kernels and trace buffers they pool survive
+// from one small batch to the next. A Scratch carries no state between
+// runs, so which one a run receives cannot change its result.
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*pooledScratch
+	lent []*pooledScratch
+}
+
+// pooledScratch is a lent Scratch. busy is set while a run uses it, so a
+// scratch left busy after its batch marks a run that panicked and may
+// have abandoned it mid-mutation.
+type pooledScratch struct {
+	sc   platform.Scratch
+	busy bool
+}
+
+// get lends a scratch to a campaign worker (MapScratch's per-worker
+// factory).
+func (p *scratchPool) get() *pooledScratch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ps := &pooledScratch{}
+	if n := len(p.free); n > 0 {
+		ps = p.free[n-1]
+		p.free = p.free[:n-1]
+	}
+	p.lent = append(p.lent, ps)
+	return ps
+}
+
+// reclaim returns the scratch lent for a finished batch to the pool,
+// dropping any whose run panicked.
+func (p *scratchPool) reclaim() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, ps := range p.lent {
+		if !ps.busy {
+			p.free = append(p.free, ps)
+		}
+	}
+	p.lent = p.lent[:0]
 }
 
 // evalOne runs one candidate schedule from scratch.

@@ -211,3 +211,45 @@ func TestProbePlannerGPCA(t *testing.T) {
 		t.Errorf("unreachable: %v", un)
 	}
 }
+
+// TestScratchPoolOutlivesBatches: one generator run's scratch pool lends
+// the same Scratch to successive evaluation batches, and a Scratch whose
+// run panicked never returns to it.
+func TestScratchPoolOutlivesBatches(t *testing.T) {
+	tgt := gpcaTarget(t, scheme2).normalised()
+	opt := Options{Seed: 1, Workers: 1}.normalised()
+	sched := seedSchedule(tgt, "pool", 1, 1)
+	pool := &scratchPool{}
+	if _, err := evaluate(tgt, opt, pool, 1, platform.RLevel, []Schedule{sched}); err != nil {
+		t.Fatal(err)
+	}
+	if len(pool.free) != 1 {
+		t.Fatalf("pool holds %d scratch after one single-worker batch, want 1", len(pool.free))
+	}
+	kept := pool.free[0]
+	if _, err := evaluate(tgt, opt, pool, 2, platform.RLevel, []Schedule{sched}); err != nil {
+		t.Fatal(err)
+	}
+	if len(pool.free) != 1 || pool.free[0] != kept {
+		t.Fatal("second batch did not reuse the pooled scratch")
+	}
+
+	// The first run's scheme constructor panics: MapScratch discards the
+	// worker's scratch, and the pool must not take it back.
+	calls := 0
+	panicky := tgt
+	panicky.Scheme = func() platform.Scheme {
+		calls++
+		if calls == 3 { // after the two fingerprints, in the first run
+			panic("scheme constructor failed")
+		}
+		return scheme2()
+	}
+	second := seedSchedule(tgt, "pool", 2, 2)
+	if _, err := evaluate(panicky, opt, pool, 3, platform.RLevel, []Schedule{sched, second}); err == nil {
+		t.Fatal("panicking run reported no error")
+	}
+	if len(pool.free) != 1 || pool.free[0] == kept {
+		t.Fatalf("pool after a panicked run: %d scratch, kept the panicked one: %v", len(pool.free), len(pool.free) > 0 && pool.free[0] == kept)
+	}
+}
